@@ -173,7 +173,7 @@ def cmd_solve(args):
         return 0 if args.allow_infeasible else 2
 
     sol = result.solution
-    status = "closed-form (degenerate)" if result.degenerate else result.solve_report.status
+    status = "closed-form (isotropic)" if result.degenerate else result.solve_report.status
     iters = 0 if result.degenerate else result.solve_report.iterations
     print(f"status: {status}   iterations: {iters}")
     print(f"objective tr(R^-1): {sol.objective:.9g}")

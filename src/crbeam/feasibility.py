@@ -65,13 +65,17 @@ def p_low_from_gram(gram, thresholds, noise, tol=1e-12, max_iterations=10000):
     return lam, iterations, residual
 
 
-def compute_p_low(scenario, channel):
+def compute_p_low(scenario, channel, check_rank=True):
     """Minimum feasible transmit power and the feasibility verdict.
 
     The verdict uses P_T >= (1 - 1e-9) * p_low so that numerically borderline
-    instances are not rejected; those are flagged via `borderline`.
+    instances are not rejected; those are flagged via `borderline`.  Callers
+    that already ran the range-space SVD of this channel (which raises
+    RankDeficientChannel) pass check_rank=False to skip a second one.
     """
-    compact_svd(np.asarray(channel))  # full-column-rank check
+    channel = np.asarray(channel)
+    if check_rank:
+        compact_svd(channel)
     gram = channel.conj().T @ channel
     lam, iterations, residual = p_low_from_gram(
         gram, scenario.sinr_thresholds, scenario.noise_power

@@ -1,4 +1,4 @@
-"""End-to-end orchestration: feasibility -> degeneracy -> solver -> recovery."""
+"""End-to-end orchestration: feasibility -> isotropic screen -> solver -> recovery."""
 
 import time
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from .scenario import evaluate_sinr
 @dataclass
 class PipelineResult:
     feasibility: FeasibilityReport
-    degenerate: bool
+    degenerate: bool      # True: the isotropic closed form, no solver run
     solution: BeamformingSolution | None
     solve_report: SolveReport | None
     reduced_objective: float | None
@@ -23,50 +23,49 @@ class PipelineResult:
     iter_seconds: float
 
 
-def witness_solution(scenario, channel, verdict, materialize_full=True):
-    """BeamformingSolution for the closed-form degenerate optimum.
+def witness_solution(scenario, channel, instance, v, materialize_full=True):
+    """BeamformingSolution for the isotropic optimum certified by the screen.
 
-    The witness beamformers all point along the chosen channel column and
-    the total covariance is the isotropic (P_T / Nt) I.
+    The beamformers are w_k = u_tilde v_k and the sensing covariance fills the
+    total covariance up to (P_T / Nt) I, whose objective is Nt^2 / P_T.
     """
-    channel = np.asarray(channel)
     n_tx = scenario.n_tx
-    h_l = channel[:, verdict.chosen_index]
-    w = [np.sqrt(a_k) * h_l for a_k in verdict.witness_scales]
-    sensing_cov = verdict.witness[-1]
-    full_cov = (scenario.power_budget / n_tx) * np.eye(n_tx) if materialize_full else None
-    objective = n_tx**2 / scenario.power_budget
-    sinr = evaluate_sinr(channel, np.column_stack(w), sensing_cov, scenario.noise_power)
+    c = scenario.power_budget / n_tx
+    w = instance.u_tilde @ v
+    sensing_cov = -(w @ w.conj().T)
+    sensing_cov.flat[:: n_tx + 1] += c
     return BeamformingSolution(
-        w=w,
+        w=list(w.T),
         sensing_cov=sensing_cov,
         sensing_factor=sensing_factor(sensing_cov),
-        full_cov=full_cov,
-        objective=objective,
-        sinr=sinr,
+        full_cov=c * np.eye(n_tx) if materialize_full else None,
+        objective=n_tx**2 / scenario.power_budget,
+        sinr=evaluate_sinr(channel, w, sensing_cov, scenario.noise_power),
     )
 
 
 def solve_scenario(scenario, channel, config=None, materialize_full=True):
-    """Feasibility check, degeneracy check, then closed form or iterative solve.
+    """Feasibility check, isotropic screen, then closed form or iterative solve.
 
-    Infeasible scenarios return early with solution=None.  Setup timing covers
-    everything up to (and excluding) the solver loop.
+    The range-space reduction comes first: its SVD is the only one per solve
+    and also checks the channel's rank.  Infeasible scenarios return early with
+    solution=None.  Setup timing covers everything up to (and excluding) the
+    solver loop.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
-    report = compute_p_low(scenario, channel)
+    instance = build_reduced(scenario, channel)
+    report = compute_p_low(scenario, channel, check_rank=False)
     if not report.feasible:
         elapsed = time.perf_counter() - t0
         return PipelineResult(report, False, None, None, None, elapsed, 0.0)
 
-    verdict = check_degenerate(scenario, channel)
-    if verdict.degenerate_condition_holds:
-        solution = witness_solution(scenario, channel, verdict, materialize_full)
+    verdict = check_degenerate(scenario, channel, instance)
+    if verdict.isotropic:
+        solution = witness_solution(scenario, channel, instance, verdict.v, materialize_full)
         elapsed = time.perf_counter() - t0
         return PipelineResult(report, True, solution, None, solution.objective, elapsed, 0.0)
 
-    instance = build_reduced(scenario, channel)
     dual = precompute_dual(instance, config.delta)
     init = initial_state(instance, p_low=report.p_low)
     setup_seconds = time.perf_counter() - t0

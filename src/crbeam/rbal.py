@@ -34,7 +34,6 @@ class SolverConfig:
     tol_violation: float = 1e-9
     max_iterations: int = 200000
     log_every: int = 0                # 0 disables the trace history
-    debug_flip_z_sign: bool = False   # use the opposite Z-step sign (diagnostics only)
 
     def __post_init__(self):
         if self.tau is not None and self.tau <= 0:
@@ -48,9 +47,6 @@ class SolverState:
     x: np.ndarray        # (K, K, K) stack of per-user blocks
     y: np.ndarray        # (K, K)
     z: np.ndarray        # (K, K)
-    x_prev: np.ndarray
-    y_prev: np.ndarray
-    z_prev: np.ndarray
     mu: np.ndarray       # (K,) real
     omega1: np.ndarray   # (K, K) Hermitian
     omega2: np.ndarray   # (K, K) Hermitian
@@ -59,7 +55,6 @@ class SolverState:
     def copy(self):
         return SolverState(
             x=self.x.copy(), y=self.y.copy(), z=self.z.copy(),
-            x_prev=self.x_prev.copy(), y_prev=self.y_prev.copy(), z_prev=self.z_prev.copy(),
             mu=self.mu.copy(), omega1=self.omega1.copy(), omega2=self.omega2.copy(),
             iteration=self.iteration,
         )
@@ -190,9 +185,8 @@ def initial_state(instance, p_low=None):
     """Isotropic interior start: X_k = (p0 / K^2) I with p0 = min(P_T, 2 p_low)."""
     k = instance.n_users
     if p_low is None:
-        gram = instance.h_tilde.conj().T @ instance.h_tilde
         thresholds = 1.0 / (instance.rho - 1.0)
-        lam, _, _ = p_low_from_gram(gram, thresholds, instance.noise_power)
+        lam, _, _ = p_low_from_gram(instance.gram, thresholds, instance.noise_power)
         p_low = float(np.sum(lam))
     p0 = min(instance.power_budget, 2.0 * p_low)
     eye = np.eye(k, dtype=complex)
@@ -200,7 +194,6 @@ def initial_state(instance, p_low=None):
     y = x.sum(axis=0)
     return SolverState(
         x=x, y=y, z=y.copy(),
-        x_prev=x.copy(), y_prev=y.copy(), z_prev=y.copy(),
         mu=np.zeros(k), omega1=np.zeros((k, k), dtype=complex),
         omega2=np.zeros((k, k), dtype=complex), iteration=0,
     )
@@ -224,8 +217,7 @@ def iterate(state, instance, dual, config):
     x_new = prox_x(x_t, p_t)
     y_t = y + tau * (np.tensordot(mu, q, axes=1) + om1 - om2)
     y_new = prox_y(y_t, tau)
-    z_sign = -1.0 if config.debug_flip_z_sign else 1.0
-    z_t = z + z_sign * tau * om2
+    z_t = z + tau * om2
     z_new = prox_z(z_t, tau, p_t, instance.n_tx, instance.n_users)
 
     x_bar = 2.0 * x_new - x
@@ -245,7 +237,6 @@ def iterate(state, instance, dual, config):
 
     return SolverState(
         x=x_new, y=y_new, z=z_new,
-        x_prev=x, y_prev=y, z_prev=z,
         mu=mu + dmu, omega1=om1_new, omega2=om2_new,
         iteration=state.iteration + 1,
     )

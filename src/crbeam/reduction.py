@@ -4,8 +4,9 @@ The optimal per-user covariances live in the range of the channel matrix H,
 and the sensing block is an isotropic scaling of the null-space projector.
 Writing W_k = U X_k U^H with U an orthonormal range basis turns the design
 into K coupled K x K semidefinite blocks; this module builds that instance,
-precomputes every constant the structured dual update needs, and detects the
-degenerate regime that admits a closed-form optimum.
+precomputes every constant the structured dual update needs, and decides
+whether the isotropic covariance (P_T / Nt) I is optimal, in which case the
+optimum is known in closed form.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,9 @@ import numpy as np
 from scipy.linalg import cho_factor
 
 from .linalg import compact_svd
+
+# exponentiated-gradient steps before the isotropic screen defers to the solver
+SCREEN_MAX_STEPS = 50
 
 
 class IllConditionedDual(Exception):
@@ -44,6 +48,11 @@ class ReducedInstance:
         """||h_k||^2 = tr(q_tilde_k)."""
         return np.einsum("ik,ik->k", self.h_tilde.conj(), self.h_tilde).real
 
+    @property
+    def gram(self):
+        """K x K channel Gram matrix H^H H = h_tilde^H h_tilde."""
+        return self.h_tilde.conj().T @ self.h_tilde
+
 
 @dataclass(frozen=True)
 class DualPrecompute:
@@ -61,10 +70,19 @@ class DualPrecompute:
 
 @dataclass(frozen=True)
 class DegeneracyVerdict:
-    degenerate_condition_holds: bool
-    witness: list | None
-    chosen_index: int | None = None
-    witness_scales: np.ndarray | None = None
+    """Outcome of the isotropic screen.
+
+    isotropic: True when a witness certifies that (P_T / Nt) I is the optimal
+               total covariance, False when a dual bound proves it is not,
+               None when the step cap came first (the solver decides).
+    steps:     exponentiated-gradient steps taken before the verdict.
+    v:         K x K witness when isotropic; column k is user k's beamformer
+               in the range basis, w_k = u_tilde v_k.
+    """
+
+    isotropic: bool | None
+    steps: int
+    v: np.ndarray | None = None
 
 
 def build_reduced(scenario, channel):
@@ -96,8 +114,7 @@ def precompute_dual(instance, delta=1e-4):
         raise ValueError("delta must be positive")
     rho = instance.rho
     k = instance.n_users
-    gram = instance.h_tilde.conj().T @ instance.h_tilde
-    gram_abs2 = np.abs(gram) ** 2
+    gram_abs2 = np.abs(instance.gram) ** 2
 
     alpha = k + 1.0 + delta
     beta = delta + 2.0
@@ -129,66 +146,45 @@ def precompute_dual(instance, delta=1e-4):
     )
 
 
-def degeneracy_lhs(scenario, channel):
-    """Left-hand sides of the degeneracy test, one per candidate index l.
+def check_degenerate(scenario, channel, instance=None):
+    """Decide exactly whether the isotropic covariance (P_T / Nt) I is optimal.
 
-    Entry l is ||h_l||^2 * sum_k (P_T ||h_k||^2 + sigma^2 Nt) / (rho_k tr(Q_k Q_l));
-    cross terms below 1e-14 * ||h_k||^2 ||h_l||^2 count as zero, which sends
-    the corresponding entry to +inf (orthogonal users are never degenerate).
+    tr(R^-1) >= Nt^2 / tr(R) >= Nt^2 / P_T with equality iff R = c I,
+    c = P_T / Nt, so the optimum is isotropic iff reduced blocks X_k >= 0
+    exist with sum_k X_k <= c I and q_k^H X_k q_k >= b_k, where
+    b_k = (c ||h_k||^2 + sigma^2) / rho_k.  By duality that holds iff
+
+        f(S) = sum_k b_k / (q_k^H S^-1 q_k) <= c   for every S > 0 with tr S = 1.
+
+    The gradient of f is V V^H with v_k = sqrt(b_k) S^-1 q_k / (q_k^H S^-1 q_k),
+    and X_k = v_k v_k^H meets q_k^H X_k q_k = b_k exactly.  So every S either
+    proves non-isotropy (f(S) > c) or, once lambda_max(V V^H) <= c, yields the
+    rank-one witness w_k = u_tilde v_k with sensing covariance c I - W W^H >= 0.
+    S follows matrix exponentiated-gradient ascent (Tsuda, Raetsch and
+    Warmuth, JMLR 2005) from I / K with step 0.5 / lambda_max(V V^H); a
+    longer step oscillates without deciding.
+
+    `instance` is the ReducedInstance of this channel when the caller has
+    one; otherwise it is built here.
     """
-    channel = np.asarray(channel)
-    gram = channel.conj().T @ channel
-    norms_sq = np.diag(gram).real
-    cross = np.abs(gram) ** 2  # cross[k, l] = tr(Q_k Q_l)
-    rho = 1.0 + 1.0 / np.asarray(scenario.sinr_thresholds, dtype=float)
-    numer = scenario.power_budget * norms_sq + scenario.noise_power * scenario.n_tx
-
-    floor = 1e-14 * np.outer(norms_sq, norms_sq)
-    with np.errstate(divide="ignore"):
-        terms = np.where(cross > floor, (numer / rho)[:, None] / cross, np.inf)
-    return norms_sq * terms.sum(axis=0)
-
-
-def check_degenerate(scenario, channel):
-    """Detect the closed-form regime and construct its witness when it holds.
-
-    When the test passes for every l, the beamformers a_k Q_l (for the l with
-    the largest slack) plus an isotropic remainder are optimal: the witness is
-    the list [W_1, ..., W_K, W_{K+1}] of full-space Hermitian matrices.
-    """
-    channel = np.asarray(channel)
-    lhs = degeneracy_lhs(scenario, channel)
-    p_t = scenario.power_budget
-    if not np.all(lhs < p_t):
-        return DegeneracyVerdict(degenerate_condition_holds=False, witness=None)
-
-    n_tx = scenario.n_tx
-    gram = channel.conj().T @ channel
-    norms_sq = np.diag(gram).real
-    cross = np.abs(gram) ** 2
-    rho = 1.0 + 1.0 / np.asarray(scenario.sinr_thresholds, dtype=float)
-    l_star = int(np.argmax(p_t - lhs))
-
-    numer = p_t * norms_sq + scenario.noise_power * n_tx
-    a = numer / (rho * n_tx * cross[:, l_star])
-    h_l = channel[:, l_star]
-    q_l = np.outer(h_l, h_l.conj())
-    witness = [a_k * q_l for a_k in a]
-    sensing = (p_t / n_tx) * np.eye(n_tx) - a.sum() * q_l
-    witness.append(sensing)
-
-    # the construction satisfies the optimality system exactly; failure here
-    # means numerical trouble, not a property of the instance
-    sensing_min_eig = p_t / n_tx - a.sum() * norms_sq[l_star]
-    if sensing_min_eig < -1e-10 * p_t / n_tx:
-        raise AssertionError(f"degenerate witness not PSD (min eig {sensing_min_eig:.3e})")
-    sinr_lhs = rho * a * cross[:, l_star] - (p_t / n_tx) * norms_sq
-    if np.max(np.abs(sinr_lhs - scenario.noise_power)) > 1e-8 * scenario.noise_power:
-        raise AssertionError("degenerate witness violates an SINR equality")
-
-    return DegeneracyVerdict(
-        degenerate_condition_holds=True,
-        witness=witness,
-        chosen_index=l_star,
-        witness_scales=a,
-    )
+    if instance is None:
+        instance = build_reduced(scenario, channel)
+    q = instance.h_tilde
+    c = instance.power_budget / instance.n_tx
+    b = (c * instance.channel_norms_sq + instance.noise_power) / instance.rho
+    log_s = np.zeros((instance.n_users, instance.n_users), dtype=complex)
+    for step in range(SCREEN_MAX_STEPS + 1):
+        # M = exp(log_s - max eig) is S up to the factor tr M; v ignores the factor
+        eigs, vecs = np.linalg.eigh(log_s)
+        m_eigs = np.exp(eigs - eigs[-1])
+        m_inv_q = (vecs / m_eigs) @ (vecs.conj().T @ q)
+        quad = np.einsum("ik,ik->k", q.conj(), m_inv_q).real
+        if np.sum(b / quad) / m_eigs.sum() > c:
+            return DegeneracyVerdict(isotropic=False, steps=step)
+        v = m_inv_q * (np.sqrt(b) / quad)
+        gradient = v @ v.conj().T
+        top = np.linalg.eigvalsh(gradient)[-1]
+        if top <= c:
+            return DegeneracyVerdict(isotropic=True, steps=step, v=v)
+        log_s = log_s + (0.5 / top) * gradient
+    return DegeneracyVerdict(isotropic=None, steps=SCREEN_MAX_STEPS)

@@ -106,7 +106,6 @@ def reference_iterate(state, instance, dense, tau):
     assert np.max(np.abs(mu_new.imag)) < 1e-10 * (1.0 + np.max(np.abs(mu_new.real)))
     return SolverState(
         x=x_new, y=y_new, z=z_new,
-        x_prev=state.x.copy(), y_prev=state.y.copy(), z_prev=state.z.copy(),
         mu=mu_new.real.copy(),
         omega1=_unvec(lam_new[k : k + k2], k),
         omega2=_unvec(lam_new[k + k2 :], k),

@@ -5,8 +5,6 @@ measured <= threshold.  The quick tier runs in well under a minute; the full
 tier adds larger dimensions and more oracle instances.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from .pipeline import solve_scenario
@@ -40,7 +38,7 @@ def dual_inverse_error(n_users, delta, seed=11):
     return dense_dual_inverse_check(instance, dual)
 
 
-def trajectory_gap(n_users, iterations, seed=5, flip_z_sign=False):
+def trajectory_gap(n_users, iterations, seed=5):
     """Max relative state difference between the structured sweep and the
     literal dense recursion after the given number of iterations."""
     scenario, channel = _random_scenario(4 * n_users, n_users, seed)
@@ -49,7 +47,7 @@ def trajectory_gap(n_users, iterations, seed=5, flip_z_sign=False):
     dual = precompute_dual(instance, delta)
     dense = build_dense_system(instance, delta)
     tau = default_stepsize(instance)
-    config = replace(SolverConfig(), tau=tau, debug_flip_z_sign=flip_z_sign)
+    config = SolverConfig(tau=tau)
 
     struct = initial_state(instance)
     ref = struct.copy()
@@ -69,7 +67,7 @@ def trajectory_gap(n_users, iterations, seed=5, flip_z_sign=False):
 
 def oracle_agreement(count, base_seed=100):
     """Worst relative objective gap between the pipeline and the K=1 oracle
-    over `count` instances spanning degenerate and non-degenerate regimes."""
+    over `count` instances spanning the isotropic and constrained regimes."""
     worst = 0.0
     rng = np.random.default_rng(base_seed)
     dims = [2, 4, 8, 16]
@@ -92,7 +90,7 @@ def oracle_agreement(count, base_seed=100):
 
 
 def degenerate_witness_residual():
-    """KKT residuals of the closed-form witness on the canonical instance."""
+    """KKT residuals of the isotropic witness on the canonical instance."""
     scenario = Scenario(
         n_tx=4, n_users=1, power_budget=100.0,
         sinr_thresholds=np.array([10.0]), noise_power=1.0,

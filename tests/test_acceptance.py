@@ -12,8 +12,9 @@ import pytest
 from crbeam.feasibility import compute_p_low
 from crbeam.linalg import null_space_basis
 from crbeam.pipeline import solve_scenario
-from crbeam.rbal import SolverConfig, default_stepsize, initial_state, iterate
-from crbeam.reduction import build_reduced, precompute_dual
+from crbeam.rbal import SolverConfig, default_stepsize, initial_state, iterate, solve
+from crbeam.recovery import extract_rank_one
+from crbeam.reduction import build_reduced, check_degenerate, precompute_dual
 from crbeam.scenario import Scenario, evaluate_crb_objective, evaluate_sinr, generate_channel
 from crbeam.verification import dense_dual_inverse_check, kkt_residuals, scalar_oracle_k1
 from crbeam.verify_suite import trajectory_gap
@@ -26,15 +27,28 @@ def report(name, detail):
     print(f"\nACCEPTANCE PASS  {name}: {detail}")
 
 
+def iterative_solve(scenario, channel):
+    """The pipeline's solver path without the isotropic screen.
+
+    Returns (feasibility report, SolveReport, BeamformingSolution).
+    """
+    feasibility = compute_p_low(scenario, channel)
+    instance = build_reduced(scenario, channel)
+    dual = precompute_dual(instance, SolverConfig().delta)
+    init = initial_state(instance, p_low=feasibility.p_low)
+    state, rep = solve(instance, dual, SolverConfig(), init=init)
+    return feasibility, rep, extract_rank_one(state.x, instance, channel=channel)
+
+
 @pytest.fixture(scope="module")
 def paper_default_runs():
-    """Ten seeded solves at the default operating point (Nt=64, K=8,
-    P_T=20 dBm, Gamma=10 dB, sigma^2=0 dBm)."""
+    """Ten seeded iterative solves at the default operating point (Nt=64,
+    K=8, P_T=20 dBm, Gamma=10 dB, sigma^2=0 dBm)."""
     scenario = make_scenario(64, 8, power=100.0, gamma=10.0, noise=1.0)
     runs = []
     for seed in range(10):
         channel = generate_channel(scenario, seed)
-        runs.append((seed, channel, solve_scenario(scenario, channel)))
+        runs.append((seed, channel, iterative_solve(scenario, channel)))
     return scenario, runs
 
 
@@ -98,19 +112,18 @@ def test_criterion_03_trajectory_equivalence():
 
 
 def test_criterion_04_convergence_at_defaults(paper_default_runs):
-    """Every feasible default-scale instance converges below 1e-9."""
+    """The iterative solver converges below 1e-9 on every feasible
+    default-scale instance (the pipeline settles these in closed form)."""
     scenario, runs = paper_default_runs
-    for seed, channel, result in runs:
-        assert result.feasibility.feasible
-        assert not result.degenerate
-        rep = result.solve_report
+    for seed, channel, (feasibility, rep, solution) in runs:
+        assert feasibility.feasible
         assert rep.status == "converged", f"seed {seed} did not converge"
         assert rep.final_violation < 1e-9
-        margins = result.solution.sinr / scenario.sinr_thresholds - 1.0
+        margins = solution.sinr / scenario.sinr_thresholds - 1.0
         assert np.min(margins) >= -1e-6
-        power = float(np.trace(result.solution.full_cov).real)
+        power = float(np.trace(solution.full_cov).real)
         assert abs(power - scenario.power_budget) <= 1e-8 * scenario.power_budget
-    iters = [r.solve_report.iterations for _, _, r in runs]
+    iters = [rep.iterations for _, _, (_, rep, _) in runs]
     report("criterion 4 (defaults)", f"10/10 converged, iterations {min(iters)}..{max(iters)}")
 
 
@@ -306,3 +319,46 @@ def test_criterion_10_kkt_certification():
     control = kkt_residuals(perturbed, scenario, channel)["stationarity"]
     assert control > 1e-2
     report("criterion 10 (KKT)", f"worst residual {worst:.2e}; control residual {control:.2e}")
+
+
+def test_criterion_11_isotropic_screen(paper_default_runs):
+    """The screen's verdict agrees with the iterative solver's objective:
+    isotropic iff the optimum reaches Nt^2 / P_T.  Every witness is KKT
+    certified."""
+    scenario, runs = paper_default_runs
+    cases = [(scenario, channel, rep.objective) for _, channel, (_, rep, _) in runs]
+    for n_tx, k, seed, factor in [(8, 2, 3, 3.0), (12, 3, 4, 3.0), (16, 4, 5, 3.0),
+                                  (8, 2, 3, 1.5), (8, 2, 11, 1.5)]:
+        constrained, channel = constrained_instance(n_tx, k, seed=seed, factor=factor)
+        _, rep, _ = iterative_solve(constrained, channel)
+        assert rep.status == "converged"
+        cases.append((constrained, channel, rep.objective))
+
+    verdicts = []
+    worst_kkt = 0.0
+    for sc, channel, objective in cases:
+        verdict = check_degenerate(sc, channel)
+        bound = sc.n_tx**2 / sc.power_budget
+        assert verdict.isotropic is not None
+        assert verdict.isotropic == (abs(objective - bound) <= 1e-6 * bound)
+        verdicts.append(verdict.isotropic)
+        if not verdict.isotropic:
+            continue
+        result = solve_scenario(sc, channel)
+        assert result.degenerate and result.solve_report is None
+        assert result.solution.objective == pytest.approx(bound, rel=1e-12)
+        kkt = kkt_residuals(result.solution, sc, channel)
+        measured = max(
+            kkt["stationarity"],
+            kkt["complementarity"],
+            max(0.0, -kkt["theta_psd_margin"]),
+            kkt["primal_sinr"],
+            kkt["primal_power"],
+        )
+        assert measured <= 1e-8
+        worst_kkt = max(worst_kkt, measured)
+    assert verdicts == [True] * len(runs) + [False] * 5
+    report(
+        "criterion 11 (isotropic screen)",
+        f"{len(verdicts)} verdicts match the solver; worst witness KKT residual {worst_kkt:.2e}",
+    )

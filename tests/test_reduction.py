@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 from crbeam.linalg import null_space_basis
+from crbeam.pipeline import solve_scenario
 from crbeam.rbal import SolverConfig, solve
-from crbeam.reduction import (
-    ReducedInstance,
-    build_reduced,
-    check_degenerate,
-    degeneracy_lhs,
-    precompute_dual,
-)
+from crbeam.reduction import ReducedInstance, build_reduced, check_degenerate, precompute_dual
 from crbeam.scenario import Scenario, evaluate_crb_objective, generate_channel
-from conftest import make_scenario, random_psd
+from crbeam.verification import kkt_residuals, scalar_oracle_k1
+from conftest import constrained_instance, make_scenario, random_psd
 
 
 class TestBuildReduced:
@@ -103,38 +99,64 @@ class TestPrecomputeDual:
 
 
 class TestDegeneracy:
+    """The isotropic screen: verdicts, witnesses and their certificates."""
+
     def canonical_channel(self):
         return np.array([[1.0], [1.0], [0.0], [0.0]], dtype=complex)  # ||h||^2 = 2
+
+    def witness(self, sc, h, verdict):
+        """Full-space beamformers and total covariance of an isotropic verdict."""
+        w = build_reduced(sc, h).u_tilde @ verdict.v
+        sensing = (sc.power_budget / sc.n_tx) * np.eye(sc.n_tx) - w @ w.conj().T
+        return w, sensing, w @ w.conj().T + sensing
 
     def test_high_power_single_user_is_degenerate(self):
         sc = Scenario(4, 1, 100.0, np.array([10.0]), 1.0)
         h = self.canonical_channel()
-        lhs = degeneracy_lhs(sc, h)
-        assert lhs[0] == pytest.approx(2.0 * 204.0 / (1.1 * 4.0), rel=1e-12)  # ~92.73
         verdict = check_degenerate(sc, h)
-        assert verdict.degenerate_condition_holds
-        sensing = verdict.witness[-1]
-        full = sum(verdict.witness)
+        assert verdict.isotropic and verdict.steps == 0
+        w, sensing, full = self.witness(sc, h, verdict)
+        # b = (25 * 2 + 1) / 1.1 and |h^H w|^2 = b
+        assert abs(np.vdot(h[:, 0], w[:, 0])) ** 2 == pytest.approx(51.0 / 1.1, rel=1e-12)
         assert np.allclose(full, 25.0 * np.eye(4), atol=1e-10)
         assert np.linalg.eigvalsh(sensing)[0] > -1e-12
         assert evaluate_crb_objective(full) == pytest.approx(0.16, rel=1e-12)
 
     def test_low_power_single_user_not_degenerate(self):
         sc = Scenario(4, 1, 8.0, np.array([10.0]), 1.0)
-        h = self.canonical_channel()
-        assert degeneracy_lhs(sc, h)[0] == pytest.approx(2.0 * 20.0 / (1.1 * 4.0), rel=1e-12)
-        assert not check_degenerate(sc, h).degenerate_condition_holds
+        verdict = check_degenerate(sc, self.canonical_channel())
+        assert verdict.isotropic is False and verdict.v is None
 
-    def test_orthogonal_users_never_degenerate(self):
+    @pytest.mark.parametrize("n_tx", [2, 4, 8, 16])
+    def test_single_user_matches_oracle(self, n_tx):
+        # the verdict flips at P_T = Nt * x_min; budgets 20% either side
+        h = generate_channel(make_scenario(n_tx, 1), 300 + n_tx)
+        x_min = 10.0 / float(np.linalg.norm(h) ** 2)
+        verdicts = []
+        for factor in (0.8 * n_tx, 1.2 * n_tx):
+            sc = make_scenario(n_tx, 1, power=factor * x_min)
+            _, _, oracle_isotropic = scalar_oracle_k1(sc, h)
+            verdicts.append(check_degenerate(sc, h).isotropic)
+            assert verdicts[-1] == oracle_isotropic
+        assert verdicts == [False, True]
+
+    def test_near_boundary_budget_not_isotropic(self):
+        sc, h = constrained_instance(16, 4, seed=5, factor=1.5)
+        assert check_degenerate(sc, h).isotropic is False
+
+    def test_orthogonal_users_high_power_isotropic(self):
         sc = Scenario(6, 2, 1e6, np.array([0.1, 0.1]), 1.0)
         h = np.eye(6, dtype=complex)[:, :2]
-        lhs = degeneracy_lhs(sc, h)
-        assert np.all(np.isinf(lhs))
-        assert not check_degenerate(sc, h).degenerate_condition_holds
+        assert check_degenerate(sc, h).isotropic
+        result = solve_scenario(sc, h)
+        assert result.degenerate
+        kkt = kkt_residuals(result.solution, sc, h)
+        assert max(kkt["stationarity"], kkt["complementarity"], kkt["primal_sinr"], kkt["primal_power"]) <= 1e-8
+        assert kkt["theta_psd_margin"] >= -1e-8
+        assert kkt["omega"] == pytest.approx((6.0 / 1e6) ** 2, rel=1e-8)
 
     def nearly_parallel_channel(self):
-        # degeneracy for K = 2 needs sum_k 1/rho_k < 1, i.e. sub-0dB thresholds,
-        # plus nearly aligned channels and a generous budget
+        # sub-0dB thresholds, nearly aligned channels and a generous budget
         rng = np.random.default_rng(12)
         base = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
         return np.column_stack([
@@ -148,23 +170,24 @@ class TestDegeneracy:
         h = self.nearly_parallel_channel()
         c = 3.0
         sc_scaled = Scenario(4, 2, 400.0 / c**2, np.array([0.5, 0.5]), 1.0)
-        v1 = check_degenerate(sc, h).degenerate_condition_holds
-        v2 = check_degenerate(sc_scaled, c * h).degenerate_condition_holds
+        v1 = check_degenerate(sc, h).isotropic
+        v2 = check_degenerate(sc_scaled, c * h).isotropic
         assert v1 == v2
-        # and the degenerate branch is actually exercised by this geometry
+        # and the isotropic branch is actually exercised by this geometry
         assert v1
 
     def test_witness_sinr_equalities(self):
         sc = Scenario(4, 2, 400.0, np.array([0.5, 0.5]), 1.0)
         h = self.nearly_parallel_channel()
         verdict = check_degenerate(sc, h)
-        assert verdict.degenerate_condition_holds
-        full = sum(verdict.witness)
+        assert verdict.isotropic
+        w, sensing, full = self.witness(sc, h, verdict)
         assert np.trace(full).real == pytest.approx(sc.power_budget, rel=1e-12)
+        assert np.linalg.eigvalsh(sensing)[0] >= -1e-12 * sc.power_budget
         rho = 1.0 + 1.0 / sc.sinr_thresholds
         for k in range(2):
             q_k = np.outer(h[:, k], h[:, k].conj())
-            lhs = rho[k] * np.trace(q_k @ verdict.witness[k]) - np.trace(q_k @ full)
+            lhs = rho[k] * np.trace(q_k @ np.outer(w[:, k], w[:, k].conj())) - np.trace(q_k @ full)
             assert lhs.real == pytest.approx(sc.noise_power, rel=1e-8)
 
 

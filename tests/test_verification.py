@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from crbeam import rbal, verify_suite
 from crbeam.pipeline import solve_scenario
+from crbeam.rbal import prox_z
 from crbeam.recovery import BeamformingSolution
 from crbeam.reduction import build_reduced, precompute_dual
 from crbeam.scenario import Scenario, generate_channel
@@ -41,10 +43,19 @@ class TestTrajectoryEquivalence:
     def test_hundred_iterations(self):
         assert trajectory_gap(2, 100) < 1e-7
 
-    def test_flipped_z_sign_breaks_equivalence(self):
+    def test_flipped_z_sign_breaks_equivalence(self, monkeypatch):
         # negative control: the opposite Z-step sign diverges from the
         # literal vectorized recursion almost immediately
-        assert trajectory_gap(2, 50, flip_z_sign=True) > 1e-3
+        def flipped_z_iterate(state, instance, dual, config):
+            # iterate hands prox_z z + tau * omega2; 2 z minus that is z - tau * omega2
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    rbal, "prox_z", lambda z_t, *args: prox_z(2.0 * state.z - z_t, *args)
+                )
+                return rbal.iterate(state, instance, dual, config)
+
+        monkeypatch.setattr(verify_suite, "iterate", flipped_z_iterate)
+        assert trajectory_gap(2, 50) > 1e-3
 
 
 class TestScalarOracle:
