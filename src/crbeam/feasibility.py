@@ -1,14 +1,19 @@
-"""Minimum feasible power via the uplink-style fixed point.
+"""Minimum feasible power via Newton's method on the uplink fixed point.
 
 The SINR constraint set is nonempty iff the power budget covers the optimal
 value of the classical power-minimization problem.  That value equals the sum
-of the dual powers lambda_k solving
+of the dual powers lambda_k solving lambda = T(lambda),
 
-    lambda_k = sigma^2 / (rho_k * qk),
-    qk = hbar_k^H (H^H H + sum_i lambda_i/sigma^2 hbar_i hbar_i^H)^-1 hbar_k,
+    T_k(lambda) = sigma^2 / (rho_k * q_k),   q = diag(A),
+    A = (I + G D)^-1 G,   D = diag(lambda) / sigma^2,
 
-with hbar_i = H^H h_i, i.e. the i-th column of the K x K Gram matrix.  All
-work here is K x K regardless of the antenna count.
+with G = H^H H the K x K channel Gram matrix; A = (G^-1 + D)^-1 is Hermitian
+and q_k is the uplink MMSE gain of user k.  The Jacobian is closed form,
+
+    dT_k / dlambda_j = |A_kj|^2 / (rho_k * q_k^2),
+
+so Newton's method reaches the fixed point in a handful of K x K solves.
+All work here is K x K regardless of the antenna count.
 """
 
 from dataclasses import dataclass
@@ -34,35 +39,44 @@ class FeasibilityReport:
     residual: float
 
 
-def _fixed_point_rhs(gram, lam, rho, noise):
-    """Evaluate the map lambda -> rhs(lambda); all matrices are K x K."""
-    m = gram + gram @ ((lam / noise)[:, None] * gram)
-    solved = np.linalg.solve(m, gram)
-    quad = np.einsum("ij,ji->i", gram, solved).real
-    return noise / (rho * quad)
+def p_low_from_gram(gram, thresholds, noise, tol=1e-12, max_iterations=100):
+    """Newton's method for lambda = T(lambda) on a channel Gram matrix H^H H.
 
+    Returns (lambdas, iterations, residual): iterations counts the steps taken
+    from lambda = 0, and residual = max_k |T_k - lambda_k| / T_k at the
+    returned point, which is at most tol.  Raises FixedPointDiverged when
+    max_iterations steps do not get there.
 
-def p_low_from_gram(gram, thresholds, noise, tol=1e-12, max_iterations=10000):
-    """Run the fixed point on a channel Gram matrix H^H H.
-
-    Returns (lambdas, iterations, residual).  Starts from zero, where the map
-    is a standard interference function and iterates increase monotonically
-    to the unique fixed point.
+    Each step solves (I - J) delta = T(lambda) - lambda.  T is concave and
+    monotone, so a Newton point with every entry positive satisfies
+    T <= lambda, and from there the steps decrease monotonically to the fixed
+    point.  A positive Newton point exists iff the spectral radius of J is
+    below 1, which can fail near lambda = 0 when users' channels are
+    correlated; such a step is replaced by each user's best response,
+    lambda_k <- (1 + gamma_k) T_k - gamma_k lambda_k, which solves
+    lambda_k = T_k(lambda) in lambda_k alone (dT_k / dlambda_k = 1 / rho_k)
+    and increases monotonically towards the fixed point from below.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     rho = 1.0 + 1.0 / thresholds
+    eye = np.eye(thresholds.size)
     lam = np.zeros(thresholds.size)
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        new = _fixed_point_rhs(gram, lam, rho, noise)
-        change = np.max(np.abs(new - lam) / np.maximum(new, 1e-300))
+    for iterations in range(max_iterations + 1):
+        # A = (I + G D)^-1 G without inverting G, which may be near singular
+        a = np.linalg.solve(eye + gram * (lam / noise), gram)
+        q = a.diagonal().real
+        target = noise / (rho * q)
+        residual = float(np.max(np.abs(target - lam) / target))
+        if residual <= tol:
+            return lam, iterations, residual
+        jac = np.abs(a) ** 2 / (rho * q * q)[:, None]
+        new = lam + np.linalg.solve(eye - jac, target - lam)
+        if not np.all(new > 0.0):
+            new = (1.0 + thresholds) * target - thresholds * lam
         lam = new
-        if change <= tol:
-            break
-    else:
-        raise FixedPointDiverged(f"no convergence in {max_iterations} iterations")
-    residual = float(np.max(np.abs(lam - _fixed_point_rhs(gram, lam, rho, noise)) / np.maximum(lam, 1e-300)))
-    return lam, iterations, residual
+    raise FixedPointDiverged(
+        f"no convergence in {max_iterations} iterations (residual {residual:.2e})"
+    )
 
 
 def compute_p_low(scenario, channel, check_rank=True):

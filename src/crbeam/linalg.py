@@ -1,8 +1,8 @@
 """Complex Hermitian matrix primitives and scalar root finders.
 
-Everything downstream treats these as given: eigendecompositions sorted
-descending, compact SVD with an explicit rank check, orthonormal null-space
-bases, and the two scalar root finders used by the proximal steps.
+Everything downstream treats these as given: a Hermitian-symmetry measure,
+compact SVD with an explicit rank check, orthonormal null-space bases, and
+the two scalar root finders used by the proximal steps.
 """
 
 import numpy as np
@@ -18,34 +18,12 @@ class InvalidBracket(Exception):
     """Root bracket does not straddle a sign change."""
 
 
-def hermitian_part(a):
-    """Project onto the Hermitian matrices: (A + A^H) / 2."""
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
 def hermitian_asymmetry(a):
     """Max-abs deviation from Hermitian symmetry, relative to ||A||_F."""
     scale = np.linalg.norm(a)
     if scale == 0.0:
         return 0.0
     return np.max(np.abs(a - a.conj().T)) / scale
-
-
-def assert_hermitian(a, tol=1e-12, name="matrix"):
-    if hermitian_asymmetry(a) > tol:
-        raise ValueError(f"{name} is not Hermitian (asymmetry {hermitian_asymmetry(a):.3e} > {tol:.1e})")
-
-
-def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
-
-    Returns (values, vectors) with m = vectors @ diag(values) @ vectors^H.
-    numpy's eigh reads one triangle only, so mild asymmetry from roundoff is
-    harmless; a genuinely non-Hermitian input is the caller's bug.
-    Raises np.linalg.LinAlgError if the eigensolver fails to converge.
-    """
-    values, vectors = np.linalg.eigh(m)
-    return values[::-1], vectors[:, ::-1]
 
 
 def compact_svd(m):

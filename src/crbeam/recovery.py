@@ -39,7 +39,7 @@ class BeamformingSolution:
     sinr: np.ndarray
 
 
-def extract_rank_one(x_star, instance, channel=None, materialize_full=True, with_factor=True):
+def extract_rank_one(x_star, instance, channel=None, materialize_full=True):
     """Build a BeamformingSolution from converged blocks X_k.
 
     `channel` is only needed to evaluate the per-user SINRs; when omitted the
@@ -82,11 +82,10 @@ def extract_rank_one(x_star, instance, channel=None, materialize_full=True, with
 
     h = np.asarray(channel) if channel is not None else u @ ht
     sinr = evaluate_sinr(h, w_full, sensing_cov, instance.noise_power)
-    factor = sensing_factor(sensing_cov) if with_factor else None
     return BeamformingSolution(
         w=beamformers,
         sensing_cov=sensing_cov,
-        sensing_factor=factor,
+        sensing_factor=sensing_factor(sensing_cov),
         full_cov=full_cov,
         objective=objective,
         sinr=sinr,

@@ -78,7 +78,10 @@ def evaluate_sinr(channel, beamformers, sensing_cov, noise):
     gains = np.abs(h.conj().T @ w) ** 2          # gains[k, i] = |h_k^H w_i|^2
     signal = np.diag(gains).copy()
     interference = gains.sum(axis=1) - signal
-    sensing = np.einsum("ik,ij,jk->k", h.conj(), sensing_cov, h).real if sensing_cov is not None else np.zeros(k)
+    if sensing_cov is None:
+        sensing = np.zeros(k)
+    else:
+        sensing = np.einsum("ik,ik->k", h.conj(), sensing_cov @ h).real
     return signal / (interference + sensing + noise)
 
 

@@ -210,8 +210,11 @@ def kkt_residuals(sol, scenario, channel):
     Recovers omega from the null-space eigenvalue of the total covariance and
     the SINR multipliers by least squares on the stationarity equations, then
     reports relative residuals: stationarity, PSD margins of the implied dual
-    slacks, complementary slackness, and primal feasibility.  Diagnostics
-    only; never raises on a bad solution.
+    slacks, complementary slackness, and primal feasibility.  Every dual
+    quantity, the multipliers included, is relative to the stationarity scale
+    1/lambda_min(R)^2 + omega, so multipliers that vanish at an isotropic
+    optimum read as ~0 rather than as +-1.  Diagnostics only; never raises on
+    a bad solution.
     """
     if sol.full_cov is None:
         raise ValueError("kkt_residuals needs full_cov materialized")
@@ -263,7 +266,6 @@ def kkt_residuals(sol, scenario, channel):
 
     sinr = evaluate_sinr(h, w, sol.sensing_cov, scenario.noise_power)
     slack_rel = sinr / scenario.sinr_thresholds - 1.0
-    mu_scale = np.max(np.abs(mu)) + 1e-300
     power = float(np.trace(full).real)
 
     return {
@@ -272,8 +274,8 @@ def kkt_residuals(sol, scenario, channel):
         "stationarity": float(stationarity),
         "theta_psd_margin": float(theta_psd),
         "complementarity": float(comp),
-        "mu_complementarity": float(np.max(np.abs(mu) * np.abs(slack_rel)) / mu_scale),
-        "mu_min": float(np.min(mu) / mu_scale),
+        "mu_complementarity": float(np.max(np.abs(mu) * np.abs(slack_rel)) / scale),
+        "mu_min": float(np.min(mu) / scale),
         "primal_sinr": float(max(0.0, -np.min(slack_rel))),
         "primal_power": abs(power - scenario.power_budget) / scenario.power_budget,
     }

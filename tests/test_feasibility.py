@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crbeam.feasibility import compute_p_low
+from crbeam.feasibility import FixedPointDiverged, compute_p_low, p_low_from_gram
 from crbeam.scenario import Scenario, evaluate_sinr, generate_channel
 from conftest import make_scenario
 
@@ -31,6 +31,103 @@ def dual_minpower_beamformers(scenario, channel, lambdas):
     m[np.arange(k), np.arange(k)] = gains.diagonal() / scenario.sinr_thresholds
     powers = np.linalg.solve(m, scenario.noise_power * np.ones(k))
     return dirs * np.sqrt(powers), powers
+
+
+def fixed_point_reference(gram, thresholds, noise, tol=1e-13, max_iterations=20000):
+    """Plain standard-interference iteration lambda <- T(lambda) from zero.
+
+    T_k(lambda) = noise / (rho_k g_k^H (G + G diag(lambda / noise) G)^-1 g_k)
+    with g_k the k-th column of the Gram matrix G.  Starting from zero the
+    iterates increase monotonically to the fixed point, but only linearly.
+    """
+    rho = 1.0 + 1.0 / np.asarray(thresholds, dtype=float)
+    lam = np.zeros(gram.shape[0])
+    for _ in range(max_iterations):
+        m = gram + gram @ ((lam / noise)[:, None] * gram)
+        quad = np.array([np.vdot(g, np.linalg.solve(m, g)).real for g in gram.T])
+        new = noise / (rho * quad)
+        done = np.max(np.abs(new - lam) / new) <= tol
+        lam = new
+        if done:
+            return lam
+    raise AssertionError("reference fixed point did not converge")
+
+
+def random_gram(n_tx, n_users, seed):
+    h = generate_channel(make_scenario(n_tx, n_users), seed)
+    return h.conj().T @ h
+
+
+class TestNewton:
+    """p_low_from_gram against the plain fixed point and its own invariants."""
+
+    SHAPES = [(8, 3, 0), (8, 3, 4), (64, 8, 1), (1024, 8, 2)]
+
+    @pytest.mark.parametrize("n_tx, n_users, seed", SHAPES)
+    def test_matches_plain_fixed_point(self, n_tx, n_users, seed):
+        gram = random_gram(n_tx, n_users, seed)
+        thresholds = np.full(n_users, 10.0)
+        lam, _, _ = p_low_from_gram(gram, thresholds, 1.0)
+        ref = fixed_point_reference(gram, thresholds, 1.0)
+        assert np.max(np.abs(lam - ref) / ref) <= 1e-10
+
+    @pytest.mark.parametrize("n_tx, n_users, seed", SHAPES)
+    def test_few_steps_to_full_accuracy(self, n_tx, n_users, seed):
+        gram = random_gram(n_tx, n_users, seed)
+        _, iterations, residual = p_low_from_gram(gram, np.full(n_users, 10.0), 1.0)
+        assert iterations <= 12
+        assert residual <= 1e-12
+
+    @pytest.mark.parametrize("channel_scale", [1e-4, 1e4])
+    @pytest.mark.parametrize("noise", [1e-6, 1e6])
+    def test_exact_scaling(self, channel_scale, noise):
+        """lambda(a H, s sigma^2) = (s / a^2) lambda(H, sigma^2): every iterate
+        scales the same way, so the step count is unchanged too."""
+        sc = Scenario(8, 3, 100.0, np.array([10.0, 5.0, 8.0]), 1.0)
+        h = generate_channel(sc, 7)
+        base = compute_p_low(sc, h)
+        scaled_sc = Scenario(8, 3, 100.0, sc.sinr_thresholds, noise)
+        scaled = compute_p_low(scaled_sc, channel_scale * h)
+        factor = noise / channel_scale**2
+        assert scaled.lambdas == pytest.approx(factor * base.lambdas, rel=1e-12)
+        assert scaled.iterations == base.iterations
+
+    def test_correlated_users(self):
+        """At lambda = 0 the Jacobian's spectral radius exceeds 1 when users'
+        channels are strongly correlated, so the first Newton point leaves the
+        positive orthant; the iterates must stay positive and still converge."""
+        h = generate_channel(make_scenario(8, 3), 3)
+        h[:, 2] = h[:, 0] + 0.3 * h[:, 2]
+        gram = h.conj().T @ h
+        thresholds = np.full(3, 10.0)
+        rho = 1.0 + 1.0 / thresholds
+        jac0 = np.abs(gram) ** 2 / (rho * gram.diagonal().real ** 2)[:, None]
+        assert np.max(np.abs(np.linalg.eigvals(jac0))) > 1.0
+        lam, iterations, residual = p_low_from_gram(gram, thresholds, 1.0)
+        assert np.all(lam > 0) and residual <= 1e-12 and iterations <= 20
+        ref = fixed_point_reference(gram, thresholds, 1.0)
+        assert np.max(np.abs(lam - ref) / ref) <= 1e-10
+
+    def test_ill_conditioned_channel(self):
+        """One user 1e8 weaker than the others: channel condition number ~1e8,
+        Gram matrix ~1e16.  A is formed without inverting G."""
+        sc = Scenario(8, 3, 100.0, np.array([10.0, 5.0, 8.0]), 1.3)
+        h = generate_channel(sc, 2)
+        h[:, 1] *= 1e-8
+        assert 1e7 <= np.linalg.cond(h) <= 1e9
+        rep = compute_p_low(sc, h)
+        assert rep.residual <= 1e-12 and rep.iterations <= 12
+        ref = fixed_point_reference(h.conj().T @ h, sc.sinr_thresholds, sc.noise_power)
+        assert np.max(np.abs(rep.lambdas - ref) / ref) <= 1e-10
+        w, powers = dual_minpower_beamformers(sc, h, rep.lambdas)
+        assert float(powers.sum()) == pytest.approx(rep.p_low, rel=1e-8)
+        sinr = evaluate_sinr(h, w, None, sc.noise_power)
+        assert np.max(np.abs(sinr / sc.sinr_thresholds - 1.0)) < 1e-8
+
+    def test_iteration_cap_raises(self):
+        gram = random_gram(8, 3, 0)
+        with pytest.raises(FixedPointDiverged):
+            p_low_from_gram(gram, np.full(3, 10.0), 1.0, max_iterations=1)
 
 
 class TestClosedForms:

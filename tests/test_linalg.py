@@ -7,42 +7,10 @@ from crbeam.linalg import (
     RankDeficientChannel,
     compact_svd,
     hermitian_asymmetry,
-    hermitian_eig,
     monotone_scalar_root,
     null_space_basis,
     positive_cubic_root,
 )
-from conftest import random_hermitian
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        values, vectors = hermitian_eig(np.eye(3, dtype=complex))
-        assert np.allclose(values, 1.0)
-        assert np.allclose(vectors.conj().T @ vectors, np.eye(3), atol=1e-12)
-
-    def test_already_diagonal(self):
-        values, vectors = hermitian_eig(np.diag([2.0, -1.0]).astype(complex))
-        assert np.allclose(values, [2.0, -1.0])
-        assert np.allclose(np.abs(vectors), np.eye(2), atol=1e-12)
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(42)
-        m = random_hermitian(rng, 4)
-        values, vectors = hermitian_eig(m)
-        assert np.all(np.diff(values) <= 0)
-        rebuilt = (vectors * values) @ vectors.conj().T
-        assert np.linalg.norm(rebuilt - m) < 1e-9 * np.linalg.norm(m)
-
-    @settings(deadline=None, max_examples=30)
-    @given(dim=st.integers(1, 32), seed=st.integers(0, 2**31))
-    def test_reconstruction_property(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        m = random_hermitian(rng, dim)
-        values, vectors = hermitian_eig(m)
-        rebuilt = (vectors * values) @ vectors.conj().T
-        assert np.linalg.norm(rebuilt - m) <= 1e-9 * max(np.linalg.norm(m), 1e-30)
-        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim))) < 1e-10
 
 
 class TestCompactSvd:

@@ -109,6 +109,18 @@ class TestKktResiduals:
         assert kkt["primal_power"] <= 1e-5
         assert np.all(kkt["mu"] > 0)  # constrained instance: active multipliers
 
+    def test_isotropic_witness_multipliers(self):
+        """At the isotropic optima of the paper defaults the SINR multipliers
+        vanish (~1e-10); relative to the stationarity scale they read ~0."""
+        scenario = make_scenario(64, 8)
+        for seed in range(10):
+            channel = generate_channel(scenario, seed)
+            result = solve_scenario(scenario, channel)
+            assert result.degenerate
+            kkt = kkt_residuals(result.solution, scenario, channel)
+            assert kkt["mu_min"] >= -1e-8
+            assert kkt["mu_complementarity"] <= 1e-8
+
     def test_suboptimal_point_fails_loudly(self):
         scenario, channel = constrained_instance(8, 2, seed=3, factor=2.0)
         result = solve_scenario(scenario, channel)
