@@ -9,7 +9,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,6 +44,7 @@ class RunConfig:
     trials: int = 1
     base_seed: int = 0
     sweep: dict | None = None
+    solver: SolverConfig | None = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -71,7 +72,7 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
 
-    known = set(RunConfig.__dataclass_fields__)
+    known = {f.name for f in fields(RunConfig) if f.init}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -80,6 +81,16 @@ def load_config(path):
             raise ConfigError(f"config field '{req}' is required")
     cfg = RunConfig(**raw)
 
+    for name, low in (("n_tx", 1), ("n_users", 1), ("trials", 1), ("max_iters", 0), ("base_seed", 0)):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    try:
+        cfg.solver = SolverConfig(
+            tau=cfg.tau, delta=cfg.delta, tol_violation=cfg.tol, max_iterations=cfg.max_iters
+        )
+    except (TypeError, ValueError) as exc:  # e.g. "tau": -1 or "tau": "1"
+        raise ConfigError(f"invalid solver setting (tau, delta, tol): {exc}") from exc
     if cfg.n_tx <= cfg.n_users:
         raise ConfigError(f"n_tx ({cfg.n_tx}) must exceed n_users ({cfg.n_users})")
     if isinstance(cfg.gamma_db, list) and len(cfg.gamma_db) != cfg.n_users:
@@ -110,12 +121,6 @@ def make_scenario(cfg, n_tx=None, n_users=None):
         power_budget=float(dbm_to_linear(cfg.p_t_dbm)),
         sinr_thresholds=thresholds,
         noise_power=float(dbm_to_linear(cfg.sigma2_dbm)),
-    )
-
-
-def make_solver_config(cfg):
-    return SolverConfig(
-        tau=cfg.tau, delta=cfg.delta, tol_violation=cfg.tol, max_iterations=cfg.max_iters
     )
 
 
@@ -162,7 +167,7 @@ def cmd_solve(args):
     seed = args.seed if args.seed is not None else cfg.base_seed
     scenario = make_scenario(cfg)
     channel = generate_channel(scenario, seed)
-    result = solve_scenario(scenario, channel, make_solver_config(cfg))
+    result = solve_scenario(scenario, channel, cfg.solver)
 
     if not result.feasibility.feasible:
         print(
@@ -200,7 +205,7 @@ def run_trial(cfg, n_tx, n_users, trial):
     scenario = make_scenario(cfg, n_tx=n_tx, n_users=n_users)
     channel = generate_channel(scenario, seed)
     try:
-        result = solve_scenario(scenario, channel, make_solver_config(cfg))
+        result = solve_scenario(scenario, channel, cfg.solver)
     except Exception as exc:  # record and continue the sweep
         print(f"trial {trial} ({n_tx}x{n_users}, seed {seed}) failed: {exc}", file=sys.stderr)
         return ResultRow(trial, seed, n_tx, n_users, False, False, "", "", "", "", "", "")

@@ -7,9 +7,8 @@ import numpy as np
 
 from .feasibility import FeasibilityReport, compute_p_low
 from .rbal import SolveReport, SolverConfig, initial_state, objective_value, solve
-from .recovery import BeamformingSolution, extract_rank_one, sensing_factor
+from .recovery import BeamformingSolution, extract_rank_one, range_solution
 from .reduction import build_reduced, check_degenerate, precompute_dual
-from .scenario import evaluate_sinr
 
 
 @dataclass
@@ -23,28 +22,7 @@ class PipelineResult:
     iter_seconds: float
 
 
-def witness_solution(scenario, channel, instance, v, materialize_full=True):
-    """BeamformingSolution for the isotropic optimum certified by the screen.
-
-    The beamformers are w_k = u_tilde v_k and the sensing covariance fills the
-    total covariance up to (P_T / Nt) I, whose objective is Nt^2 / P_T.
-    """
-    n_tx = scenario.n_tx
-    c = scenario.power_budget / n_tx
-    w = instance.u_tilde @ v
-    sensing_cov = -(w @ w.conj().T)
-    sensing_cov.flat[:: n_tx + 1] += c
-    return BeamformingSolution(
-        w=list(w.T),
-        sensing_cov=sensing_cov,
-        sensing_factor=sensing_factor(sensing_cov),
-        full_cov=c * np.eye(n_tx) if materialize_full else None,
-        objective=n_tx**2 / scenario.power_budget,
-        sinr=evaluate_sinr(channel, w, sensing_cov, scenario.noise_power),
-    )
-
-
-def solve_scenario(scenario, channel, config=None, materialize_full=True):
+def solve_scenario(scenario, channel, config=None):
     """Feasibility check, isotropic screen, then closed form or iterative solve.
 
     The range-space reduction comes first: its SVD is the only one per solve
@@ -60,9 +38,11 @@ def solve_scenario(scenario, channel, config=None, materialize_full=True):
         elapsed = time.perf_counter() - t0
         return PipelineResult(report, False, None, None, None, elapsed, 0.0)
 
-    verdict = check_degenerate(scenario, channel, instance)
+    verdict = check_degenerate(instance)
     if verdict.isotropic:
-        solution = witness_solution(scenario, channel, instance, verdict.v, materialize_full)
+        # the screen's witness: total covariance (P_T / Nt) I, objective Nt^2 / P_T
+        c = scenario.power_budget / scenario.n_tx
+        solution = range_solution(instance, channel, verdict.v, c * np.eye(scenario.n_users), c)
         elapsed = time.perf_counter() - t0
         return PipelineResult(report, True, solution, None, solution.objective, elapsed, 0.0)
 
@@ -74,9 +54,7 @@ def solve_scenario(scenario, channel, config=None, materialize_full=True):
     state, solve_report = solve(instance, dual, config, init=init)
     iter_seconds = time.perf_counter() - t1
 
-    solution = extract_rank_one(
-        state.x, instance, channel=channel, materialize_full=materialize_full
-    )
+    solution = extract_rank_one(state.x, instance, channel)
     reduced_objective = objective_value(state, instance)
     return PipelineResult(
         feasibility=report,

@@ -1,16 +1,16 @@
-"""Map converged reduced iterates back to full-space rank-one beamformers.
+"""Full-space beamforming solutions from the range-space structure.
 
-Given optimal blocks X_k, the rank-one transmit covariances are
+Every answer has total covariance R = U Y U^H + theta * P_null, where Y is the
+K x K range block, theta the null-space level and P_null the projector onto
+the orthogonal complement of the channel range.  Converged blocks X_k give
+Y = sum_k X_k, theta = (P_T - sum tr X_k) / (Nt - K) and the beamformers
 
-    W_k = U (X_k q_k)(X_k q_k)^H U^H / (q_k^H X_k q_k),   q_k = U^H h_k,
+    w_k = U X_k q_k / sqrt(q_k^H X_k q_k),   q_k = U^H h_k,
 
-and the sensing covariance absorbs the remainder of
-
-    R_W = U (sum_k X_k) U^H + theta * P_null,   theta = (P_T - sum tr X_k) / (Nt - K),
-
-where P_null projects onto the orthogonal complement of the channel range.
-The beamforming vectors are computed directly (length Nt), so recovery costs
-O(Nt K^2); per-user Nt x Nt matrices are never formed.
+and the sensing covariance is the remainder R - W W^H.  One builder,
+`range_solution`, assembles the answers of both regimes: the objective from
+Y alone, the Nt x Nt covariances in O(Nt^2 K), plus one dense Nt x Nt `eigh`
+for the sensing factor.
 """
 
 from dataclasses import dataclass
@@ -34,24 +34,48 @@ class BeamformingSolution:
     w: list                       # K beamforming vectors, each (Nt,)
     sensing_cov: np.ndarray       # Nt x Nt PSD covariance of the sensing stream
     sensing_factor: np.ndarray | None
-    full_cov: np.ndarray | None   # Nt x Nt total covariance (optional, see extract_rank_one)
+    full_cov: np.ndarray          # Nt x Nt total covariance
     objective: float              # tr(full_cov^-1)
     sinr: np.ndarray
 
 
-def extract_rank_one(x_star, instance, channel=None, materialize_full=True):
+def range_solution(instance, channel, v, total, theta):
+    """BeamformingSolution with total covariance theta I + U (total - theta I) U^H.
+
+    `v` holds the beamformers in the range basis (w = U v), `total` is the
+    K x K range block of the total covariance and `theta` its null-space
+    level.  The objective tr(R^-1) = sum 1/eig(total) + (Nt - K) / theta is
+    read off the K x K block.
+    """
+    u = instance.u_tilde
+    n_tx, k = instance.n_tx, instance.n_users
+    w = u @ v
+    # exact zero range excess for the isotropic witness (total = theta I)
+    excess = total - theta * np.eye(k)
+    sensing_cov = (u @ (excess - v @ v.conj().T)) @ u.conj().T
+    sensing_cov.flat[:: n_tx + 1] += theta
+    factor = sensing_factor(sensing_cov)
+    # built after the factor so its eigh workspace and full_cov never coexist
+    full_cov = (u @ excess) @ u.conj().T
+    full_cov.flat[:: n_tx + 1] += theta
+    return BeamformingSolution(
+        w=list(w.T),
+        sensing_cov=sensing_cov,
+        sensing_factor=factor,
+        full_cov=full_cov,
+        objective=float(np.sum(1.0 / np.linalg.eigvalsh(total))) + (n_tx - k) / theta,
+        sinr=evaluate_sinr(channel, w, sensing_cov, instance.noise_power),
+    )
+
+
+def extract_rank_one(x_star, instance, channel):
     """Build a BeamformingSolution from converged blocks X_k.
 
-    `channel` is only needed to evaluate the per-user SINRs; when omitted the
-    projected channel stored in the instance is lifted back with u_tilde.
-    With materialize_full=False the Nt x Nt total covariance is skipped and
-    the objective is computed from the reduced algebra instead.
+    v_k = X_k q_k / sqrt(t_k) with t_k = q_k^H X_k q_k, the range block is
+    sum_k X_k and theta spends the remaining budget on the null space.
     """
     x_star = np.asarray(x_star)
-    u = instance.u_tilde
     ht = instance.h_tilde
-    n_tx, k = instance.n_tx, instance.n_users
-    p_t = instance.power_budget
 
     # per-user signal weights t_k = q_k^H X_k q_k = tr(Q_k X_k)
     t = np.einsum("ik,kij,jk->k", ht.conj(), x_star, ht).real
@@ -61,35 +85,9 @@ def extract_rank_one(x_star, instance, channel=None, materialize_full=True):
     if np.any(weak):
         raise ExtractionDegenerate(f"tr(Q_k X_k) vanished for users {np.nonzero(weak)[0].tolist()}")
 
-    # w_k = U X_k q_k / sqrt(t_k); reduced vectors first, lifted once
-    v = np.stack([x_star[i] @ ht[:, i] for i in range(k)], axis=1)  # (K, K) columns
-    w_full = u @ (v / np.sqrt(t))
-    beamformers = [w_full[:, i].copy() for i in range(k)]
-
-    r_x = x_star.sum(axis=0)
-    theta = (p_t - float(traces.sum())) / (n_tx - k)
-    u_c = null_space_basis(u)
-    # sensing covariance: range-space remainder plus the isotropic null-space block
-    range_gap = r_x - (v / t) @ v.conj().T
-    sensing_cov = u @ range_gap @ u.conj().T + theta * (u_c @ u_c.conj().T)
-
-    if materialize_full:
-        full_cov = u @ r_x @ u.conj().T + theta * (u_c @ u_c.conj().T)
-        objective = float(np.sum(1.0 / np.linalg.eigvalsh(full_cov)))
-    else:
-        full_cov = None
-        objective = float(np.sum(1.0 / np.linalg.eigvalsh(r_x))) + (n_tx - k) / theta
-
-    h = np.asarray(channel) if channel is not None else u @ ht
-    sinr = evaluate_sinr(h, w_full, sensing_cov, instance.noise_power)
-    return BeamformingSolution(
-        w=beamformers,
-        sensing_cov=sensing_cov,
-        sensing_factor=sensing_factor(sensing_cov),
-        full_cov=full_cov,
-        objective=objective,
-        sinr=sinr,
-    )
+    v = np.einsum("kij,jk->ik", x_star, ht) / np.sqrt(t)
+    theta = (instance.power_budget - float(traces.sum())) / (instance.n_tx - instance.n_users)
+    return range_solution(instance, channel, v, x_star.sum(axis=0), theta)
 
 
 def sensing_factor(cov, neg_tol=1e-8):
@@ -123,8 +121,6 @@ def verify_solution(sol, scenario, channel, reduced_objective=None):
 
     sensing = sol.sensing_cov
     full = sol.full_cov
-    if full is None:
-        full = w @ w.conj().T + sensing
 
     power = float(np.trace(full).real)
     sinr = evaluate_sinr(channel, w, sensing, scenario.noise_power)

@@ -146,7 +146,7 @@ def precompute_dual(instance, delta=1e-4):
     )
 
 
-def check_degenerate(scenario, channel, instance=None):
+def check_degenerate(instance):
     """Decide exactly whether the isotropic covariance (P_T / Nt) I is optimal.
 
     tr(R^-1) >= Nt^2 / tr(R) >= Nt^2 / P_T with equality iff R = c I,
@@ -164,11 +164,8 @@ def check_degenerate(scenario, channel, instance=None):
     Warmuth, JMLR 2005) from I / K with step 0.5 / lambda_max(V V^H); a
     longer step oscillates without deciding.
 
-    `instance` is the ReducedInstance of this channel when the caller has
-    one; otherwise it is built here.
+    `instance` is the ReducedInstance of the scenario and its channel.
     """
-    if instance is None:
-        instance = build_reduced(scenario, channel)
     q = instance.h_tilde
     c = instance.power_budget / instance.n_tx
     b = (c * instance.channel_norms_sq + instance.noise_power) / instance.rho

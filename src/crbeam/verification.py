@@ -216,8 +216,6 @@ def kkt_residuals(sol, scenario, channel):
     optimum read as ~0 rather than as +-1.  Diagnostics only; never raises on
     a bad solution.
     """
-    if sol.full_cov is None:
-        raise ValueError("kkt_residuals needs full_cov materialized")
     h = np.asarray(channel)
     n_tx, k = h.shape
     rho = 1.0 + 1.0 / scenario.sinr_thresholds

@@ -337,7 +337,7 @@ def test_criterion_11_isotropic_screen(paper_default_runs):
     verdicts = []
     worst_kkt = 0.0
     for sc, channel, objective in cases:
-        verdict = check_degenerate(sc, channel)
+        verdict = check_degenerate(build_reduced(sc, channel))
         bound = sc.n_tx**2 / sc.power_budget
         assert verdict.isotropic is not None
         assert verdict.isotropic == (abs(objective - bound) <= 1e-6 * bound)

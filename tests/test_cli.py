@@ -60,6 +60,16 @@ class TestConfig:
         assert main(["solve", "--config", str(p)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_tx", "64"), ("n_users", 0), ("n_tx", 8.5), ("tau", -1), ("trials", True),
+    ])
+    def test_malformed_field_is_config_error(self, tmp_path, capsys, name, value):
+        p = write_config(tmp_path / "c.json", **{name: value})
+        with pytest.raises(ConfigError, match=name):
+            load_config(p)
+        assert main(["solve", "--config", str(p)]) == 1
+        assert "config error" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_solve_writes_solution_json(self, tmp_path, capsys):

@@ -8,12 +8,14 @@ from crbeam.recovery import (
     ExtractionDegenerate,
     NotPSD,
     extract_rank_one,
+    range_solution,
     sensing_factor,
     verify_solution,
 )
-from crbeam.reduction import build_reduced, precompute_dual
-from crbeam.scenario import Scenario, evaluate_sinr
-from conftest import constrained_instance
+from crbeam.pipeline import solve_scenario
+from crbeam.reduction import build_reduced, check_degenerate, precompute_dual
+from crbeam.scenario import Scenario, evaluate_crb_objective, evaluate_sinr, generate_channel
+from conftest import constrained_instance, make_scenario
 
 
 def single_user_setup():
@@ -22,14 +24,18 @@ def single_user_setup():
     return sc, h, build_reduced(sc, h)
 
 
-@pytest.fixture(scope="module")
-def converged_k3():
-    scenario, channel = constrained_instance(12, 3, seed=4, factor=3.0)
+def converged(n_tx, k, seed):
+    scenario, channel = constrained_instance(n_tx, k, seed=seed, factor=3.0)
     inst = build_reduced(scenario, channel)
     dual = precompute_dual(inst, 1e-4)
     state, report = solve(inst, dual, SolverConfig())
     assert report.status == "converged"
     return scenario, channel, inst, state
+
+
+@pytest.fixture(scope="module")
+def converged_k3():
+    return converged(12, 3, seed=4)
 
 
 class TestExtractRankOne:
@@ -82,13 +88,57 @@ class TestExtractRankOne:
         with pytest.raises(ExtractionDegenerate):
             extract_rank_one(x, inst, channel=h)
 
-    def test_lean_extraction_matches_materialized(self, converged_k3):
+    def test_reduced_objective_matches_dense(self, converged_k3):
         scenario, channel, inst, state = converged_k3
-        full = extract_rank_one(state.x, inst, channel=channel)
-        lean = extract_rank_one(state.x, inst, channel=channel, materialize_full=False)
-        assert lean.full_cov is None
-        assert lean.objective == pytest.approx(full.objective, rel=1e-9)
-        assert lean.sinr == pytest.approx(full.sinr, rel=1e-12)
+        sol = extract_rank_one(state.x, inst, channel=channel)
+        assert sol.objective == pytest.approx(evaluate_crb_objective(sol.full_cov), rel=1e-9)
+
+
+def assert_matches_dense(sol, full_ref, w_ref):
+    """The builder's covariances and objective against a dense construction."""
+    scale = np.linalg.norm(full_ref)
+    w = np.column_stack(sol.w)
+    assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+    assert np.linalg.norm(sol.full_cov - full_ref) <= 1e-12 * scale
+    sensing_ref = full_ref - w_ref @ w_ref.conj().T
+    assert np.linalg.norm(sol.sensing_cov - sensing_ref) <= 1e-12 * scale
+    assert np.linalg.norm(sol.sensing_cov - (sol.full_cov - w @ w.conj().T)) <= 1e-12 * scale
+    assert sol.objective == pytest.approx(evaluate_crb_objective(sol.full_cov), rel=1e-12)
+
+
+class TestRangeSolution:
+    @pytest.mark.parametrize("n_tx, k, seed", [(12, 3, 4), (8, 2, 3), (16, 4, 5)])
+    def test_converged_blocks_match_dense(self, n_tx, k, seed):
+        scenario, channel, inst, state = converged(n_tx, k, seed)
+        sol = extract_rank_one(state.x, inst, channel=channel)
+        # dense reference: U (sum X_k) U^H + theta U_c U_c^H, w_k = U X_k q_k / sqrt(t_k)
+        u = inst.u_tilde
+        u_c = null_space_basis(channel)
+        theta = (scenario.power_budget - sum(np.trace(x).real for x in state.x)) / (n_tx - k)
+        full_ref = u @ state.x.sum(axis=0) @ u.conj().T + theta * (u_c @ u_c.conj().T)
+        w_ref = np.column_stack([
+            u @ state.x[i] @ inst.h_tilde[:, i]
+            / np.sqrt(np.vdot(inst.h_tilde[:, i], state.x[i] @ inst.h_tilde[:, i]).real)
+            for i in range(k)
+        ])
+        assert_matches_dense(sol, full_ref, w_ref)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_isotropic_witness_matches_dense(self, seed):
+        scenario = make_scenario(64, 8)
+        channel = generate_channel(scenario, seed)
+        inst = build_reduced(scenario, channel)
+        verdict = check_degenerate(inst)
+        assert verdict.isotropic
+        c = scenario.power_budget / scenario.n_tx
+        sol = range_solution(inst, channel, verdict.v, c * np.eye(8), c)
+        assert_matches_dense(sol, c * np.eye(64), inst.u_tilde @ verdict.v)
+        assert sol.objective == pytest.approx(64**2 / scenario.power_budget, rel=1e-12)
+        # the pipeline's isotropic answer is this builder's output
+        result = solve_scenario(scenario, channel)
+        assert result.degenerate
+        assert np.array_equal(np.column_stack(result.solution.w), np.column_stack(sol.w))
+        assert np.array_equal(result.solution.full_cov, sol.full_cov)
 
 
 class TestSensingFactor:
@@ -145,7 +195,7 @@ class TestVerifySolution:
             w=weak_w,
             sensing_cov=sol.sensing_cov,
             sensing_factor=None,
-            full_cov=None,
+            full_cov=np.column_stack(weak_w) @ np.column_stack(weak_w).conj().T + sol.sensing_cov,
             objective=0.0,
             sinr=evaluate_sinr(channel, np.column_stack(weak_w), sol.sensing_cov, scenario.noise_power),
         )

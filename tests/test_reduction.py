@@ -113,7 +113,7 @@ class TestDegeneracy:
     def test_high_power_single_user_is_degenerate(self):
         sc = Scenario(4, 1, 100.0, np.array([10.0]), 1.0)
         h = self.canonical_channel()
-        verdict = check_degenerate(sc, h)
+        verdict = check_degenerate(build_reduced(sc, h))
         assert verdict.isotropic and verdict.steps == 0
         w, sensing, full = self.witness(sc, h, verdict)
         # b = (25 * 2 + 1) / 1.1 and |h^H w|^2 = b
@@ -124,7 +124,7 @@ class TestDegeneracy:
 
     def test_low_power_single_user_not_degenerate(self):
         sc = Scenario(4, 1, 8.0, np.array([10.0]), 1.0)
-        verdict = check_degenerate(sc, self.canonical_channel())
+        verdict = check_degenerate(build_reduced(sc, self.canonical_channel()))
         assert verdict.isotropic is False and verdict.v is None
 
     @pytest.mark.parametrize("n_tx", [2, 4, 8, 16])
@@ -136,18 +136,18 @@ class TestDegeneracy:
         for factor in (0.8 * n_tx, 1.2 * n_tx):
             sc = make_scenario(n_tx, 1, power=factor * x_min)
             _, _, oracle_isotropic = scalar_oracle_k1(sc, h)
-            verdicts.append(check_degenerate(sc, h).isotropic)
+            verdicts.append(check_degenerate(build_reduced(sc, h)).isotropic)
             assert verdicts[-1] == oracle_isotropic
         assert verdicts == [False, True]
 
     def test_near_boundary_budget_not_isotropic(self):
         sc, h = constrained_instance(16, 4, seed=5, factor=1.5)
-        assert check_degenerate(sc, h).isotropic is False
+        assert check_degenerate(build_reduced(sc, h)).isotropic is False
 
     def test_orthogonal_users_high_power_isotropic(self):
         sc = Scenario(6, 2, 1e6, np.array([0.1, 0.1]), 1.0)
         h = np.eye(6, dtype=complex)[:, :2]
-        assert check_degenerate(sc, h).isotropic
+        assert check_degenerate(build_reduced(sc, h)).isotropic
         result = solve_scenario(sc, h)
         assert result.degenerate
         kkt = kkt_residuals(result.solution, sc, h)
@@ -170,8 +170,8 @@ class TestDegeneracy:
         h = self.nearly_parallel_channel()
         c = 3.0
         sc_scaled = Scenario(4, 2, 400.0 / c**2, np.array([0.5, 0.5]), 1.0)
-        v1 = check_degenerate(sc, h).isotropic
-        v2 = check_degenerate(sc_scaled, c * h).isotropic
+        v1 = check_degenerate(build_reduced(sc, h)).isotropic
+        v2 = check_degenerate(build_reduced(sc_scaled, c * h)).isotropic
         assert v1 == v2
         # and the isotropic branch is actually exercised by this geometry
         assert v1
@@ -179,7 +179,7 @@ class TestDegeneracy:
     def test_witness_sinr_equalities(self):
         sc = Scenario(4, 2, 400.0, np.array([0.5, 0.5]), 1.0)
         h = self.nearly_parallel_channel()
-        verdict = check_degenerate(sc, h)
+        verdict = check_degenerate(build_reduced(sc, h))
         assert verdict.isotropic
         w, sensing, full = self.witness(sc, h, verdict)
         assert np.trace(full).real == pytest.approx(sc.power_budget, rel=1e-12)

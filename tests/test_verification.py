@@ -140,12 +140,6 @@ class TestKktResiduals:
         kkt = kkt_residuals(perturbed, scenario, channel)
         assert kkt["stationarity"] > 1e-2
 
-    def test_requires_full_covariance(self):
-        scenario, channel = constrained_instance(8, 2, seed=3, factor=2.0)
-        result = solve_scenario(scenario, channel, materialize_full=False)
-        with pytest.raises(ValueError):
-            kkt_residuals(result.solution, scenario, channel)
-
 
 def test_optimality_spot_check():
     """No feasible perturbation improves on the converged objective.
