@@ -7,12 +7,11 @@ most linearly in Nt.  Prints one line per antenna count.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from crbeam.feasibility import compute_p_low
-from crbeam.rbal import SolverConfig, default_stepsize, initial_state, iterate
+from crbeam.rbal import default_stepsize, initial_state, iterate
 from crbeam.reduction import build_reduced, precompute_dual
 from crbeam.scenario import Scenario, generate_channel
 
@@ -33,12 +32,12 @@ for n_tx in ANTENNAS:
     dual = precompute_dual(instance, 1e-4)
     setup = time.perf_counter() - t0
 
-    config = replace(SolverConfig(), tau=default_stepsize(instance))
+    tau = default_stepsize(instance)
     state = initial_state(instance)
     for _ in range(50):  # warm-up
-        state = iterate(state, instance, dual, config)
+        state = iterate(state, instance, dual, tau)
     t1 = time.perf_counter()
     for _ in range(SWEEPS):
-        state = iterate(state, instance, dual, config)
+        state = iterate(state, instance, dual, tau)
     per_iter = (time.perf_counter() - t1) / SWEEPS
     print(f"{n_tx:>5} {setup * 1e3:>10.2f} {per_iter * 1e6:>12.1f}")

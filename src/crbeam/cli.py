@@ -63,6 +63,11 @@ class ResultRow:
     min_sinr_margin: object
 
 
+def _require_int(name, value, low):
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def load_config(path):
     try:
         with open(path) as fh:
@@ -72,6 +77,8 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
 
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
     known = {f.name for f in fields(RunConfig) if f.init}
     unknown = set(raw) - known
     if unknown:
@@ -82,9 +89,7 @@ def load_config(path):
     cfg = RunConfig(**raw)
 
     for name, low in (("n_tx", 1), ("n_users", 1), ("trials", 1), ("max_iters", 0), ("base_seed", 0)):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        _require_int(name, getattr(cfg, name), low)
     try:
         cfg.solver = SolverConfig(
             tau=cfg.tau, delta=cfg.delta, tol_violation=cfg.tol, max_iterations=cfg.max_iters
@@ -96,17 +101,22 @@ def load_config(path):
     if isinstance(cfg.gamma_db, list) and len(cfg.gamma_db) != cfg.n_users:
         raise ConfigError(f"gamma_db list must have n_users = {cfg.n_users} entries")
     if cfg.sweep is not None:
+        if not isinstance(cfg.sweep, dict):
+            raise ConfigError("sweep must be an object with 'parameter' and 'values'")
         param = cfg.sweep.get("parameter")
         values = cfg.sweep.get("values")
         if param not in ("K", "Nt"):
             raise ConfigError("sweep.parameter must be 'K' or 'Nt'")
-        if not values or any(int(v) <= 0 for v in values) or list(values) != sorted(set(values)):
-            raise ConfigError("sweep.values must be strictly increasing positive integers")
+        if not isinstance(values, list) or not values:
+            raise ConfigError("sweep.values must be a non-empty list")
         for v in values:
-            n_tx = int(v) if param == "Nt" else cfg.n_tx
-            n_users = int(v) if param == "K" else cfg.n_users
+            _require_int("sweep.values entry", v, 1)
+            n_tx = v if param == "Nt" else cfg.n_tx
+            n_users = v if param == "K" else cfg.n_users
             if n_tx <= n_users:
                 raise ConfigError(f"sweep point {param}={v} violates n_tx > n_users")
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ConfigError("sweep.values must be strictly increasing")
     return cfg
 
 
@@ -238,11 +248,9 @@ def cmd_sweep(args):
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a 'sweep' section in the config")
     param = cfg.sweep["parameter"]
-    values = [int(v) for v in cfg.sweep["values"]]
-
     rows = []
     aggregates = []
-    for value in values:
+    for value in cfg.sweep["values"]:
         n_tx = value if param == "Nt" else cfg.n_tx
         n_users = value if param == "K" else cfg.n_users
         group = [run_trial(cfg, n_tx, n_users, t) for t in range(cfg.trials)]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import FeasibilityReport, compute_p_low
-from .rbal import SolveReport, SolverConfig, initial_state, objective_value, solve
+from .rbal import SolveReport, SolverConfig, initial_state, solve
 from .recovery import BeamformingSolution, extract_rank_one, range_solution
 from .reduction import build_reduced, check_degenerate, precompute_dual
 
@@ -55,13 +55,12 @@ def solve_scenario(scenario, channel, config=None):
     iter_seconds = time.perf_counter() - t1
 
     solution = extract_rank_one(state.x, instance, channel)
-    reduced_objective = objective_value(state, instance)
     return PipelineResult(
         feasibility=report,
         degenerate=False,
         solution=solution,
         solve_report=solve_report,
-        reduced_objective=reduced_objective,
+        reduced_objective=solve_report.objective,
         setup_seconds=setup_seconds,
         iter_seconds=iter_seconds,
     )

@@ -8,7 +8,7 @@ tier adds larger dimensions and more oracle instances.
 import numpy as np
 
 from .pipeline import solve_scenario
-from .rbal import SolverConfig, default_stepsize, initial_state, iterate
+from .rbal import default_stepsize, initial_state, iterate
 from .reduction import build_reduced, precompute_dual
 from .scenario import Scenario, generate_channel
 from .verification import (
@@ -47,12 +47,10 @@ def trajectory_gap(n_users, iterations, seed=5):
     dual = precompute_dual(instance, delta)
     dense = build_dense_system(instance, delta)
     tau = default_stepsize(instance)
-    config = SolverConfig(tau=tau)
 
-    struct = initial_state(instance)
-    ref = struct.copy()
+    struct = ref = initial_state(instance)
     for _ in range(iterations):
-        struct = iterate(struct, instance, dual, config)
+        struct = iterate(struct, instance, dual, tau)
         ref = reference_iterate(ref, instance, dense, tau)
 
     def flat(state):

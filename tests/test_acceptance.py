@@ -195,15 +195,13 @@ def test_criterion_07_antenna_count_independence():
             best_setup = min(best_setup, time.perf_counter() - s0)
         setup[n_tx] = best_setup
 
-        from dataclasses import replace
-
-        config = replace(SolverConfig(), tau=default_stepsize(instance))
+        tau = default_stepsize(instance)
         state = initial_state(instance)
         for _ in range(50):  # warm-up
-            state = iterate(state, instance, dual, config)
+            state = iterate(state, instance, dual, tau)
         s1 = time.perf_counter()
         for _ in range(sweeps):
-            state = iterate(state, instance, dual, config)
+            state = iterate(state, instance, dual, tau)
         per_iter[n_tx] = (time.perf_counter() - s1) / sweeps
 
     times = list(per_iter.values())

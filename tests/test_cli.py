@@ -70,6 +70,21 @@ class TestConfig:
         assert main(["solve", "--config", str(p)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", [
+        {"n_tx": 8, "n_users": 2, "sweep": {"parameter": "K", "values": "ab"}},
+        5,
+        [1, 2],
+        {"n_tx": 8, "n_users": 2, "sweep": [1]},
+        {"n_tx": 8, "n_users": 2, "sweep": {"parameter": "K", "values": [1.5, 2]}},
+        {"n_tx": 8, "n_users": 2, "sweep": {"parameter": "K", "values": [True]}},
+    ], ids=["values-string", "top-level-number", "top-level-list", "sweep-list",
+            "values-float", "values-bool"])
+    def test_malformed_document_is_config_error(self, tmp_path, capsys, document):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(document))
+        assert main(["feasibility", "--config", str(p)]) == 1
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_solve_writes_solution_json(self, tmp_path, capsys):

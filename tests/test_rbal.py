@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from crbeam import rbal
@@ -112,6 +111,25 @@ class TestProxZ:
         psd_part = np.linalg.eigvalsh(z).clip(0.0)
         assert np.allclose(np.sort(np.linalg.eigvalsh(out)), psd_part, atol=1e-5)
 
+    @pytest.mark.parametrize("eigs, tau, budget, null_dim, exact", [
+        ([3.0, 1.0], 1.0, 4.0, 2, 1.0),                # root exactly at an eigenvalue
+        ([-1.0, 0.0, -3.0], 0.7, 5.0, 4, 0.7 * 16 / 25),  # nothing positive: tau n^2 / P_T^2
+        ([1.5, 1.5, -2.0], 2.0, 1.0, 1, 2.0),          # level above every eigenvalue
+        ([5.0, 4.0, 3.0], 0.5, 2.0, 3, None),          # eigenvalue mass above the budget
+        ([2.0, 2.0, 2.0, 0.5], 0.3, 3.0, 3, None),     # repeated survivors
+    ], ids=["at-eigenvalue", "non-positive", "all-shrunk", "mass-above-budget", "repeated"])
+    def test_level_hand_cases_match_bisection(self, eigs, tau, budget, null_dim, exact):
+        s = np.array(eigs)
+        c = tau * null_dim**2
+        expect = monotone_scalar_root(
+            lambda lam: budget - np.maximum(s - lam, 0.0).sum() - np.sqrt(c / lam),
+            1e-300, max(s.max(), 0.0) + c / budget**2,
+        )
+        level = rbal._z_shrink_level(s, tau, budget, null_dim)
+        assert level == pytest.approx(expect, rel=1e-12)
+        if exact is not None:
+            assert level == pytest.approx(exact, rel=1e-14)
+
     @settings(deadline=None, max_examples=80)
     @given(st.integers(0, 2**31))
     def test_level_residual_and_trace_identity(self, seed):
@@ -135,15 +153,14 @@ class TestIterate:
         scenario, channel = constrained_instance(12, 3, seed=seed, factor=3.0)
         inst = build_reduced(scenario, channel)
         dual = precompute_dual(inst, 1e-4)
-        config = replace(SolverConfig(), tau=default_stepsize(inst))
-        return inst, dual, config
+        return inst, dual, default_stepsize(inst)
 
     def test_state_invariants_along_trajectory(self):
-        inst, dual, config = self.make()
+        inst, dual, tau = self.make()
         state = initial_state(inst)
         p_t = inst.power_budget
         for _ in range(300):
-            state = iterate(state, inst, dual, config)
+            state = iterate(state, inst, dual, tau)
             for block in (state.y, state.z, state.omega1, state.omega2, *state.x):
                 assert hermitian_asymmetry(block) <= 1e-10
             x_eigs = np.linalg.eigvalsh(state.x)
@@ -160,10 +177,10 @@ class TestIterate:
         assert default_stepsize(inst) == pytest.approx(0.9 / fro, rel=1e-12)
 
     def test_residuals_small_at_feasible_point_with_zero_duals(self):
-        inst, dual, config = self.make()
+        inst, dual, tau = self.make()
         state = initial_state(inst)
         before = constraint_violation(state, inst)
-        nxt = iterate(state, inst, dual, config)
+        nxt = iterate(state, inst, dual, tau)
         # duals move proportionally to the (finite) residuals; no blow-up
         assert np.all(np.isfinite(nxt.mu))
         assert constraint_violation(nxt, inst) < 10 * before + 1.0

@@ -46,13 +46,13 @@ class TestTrajectoryEquivalence:
     def test_flipped_z_sign_breaks_equivalence(self, monkeypatch):
         # negative control: the opposite Z-step sign diverges from the
         # literal vectorized recursion almost immediately
-        def flipped_z_iterate(state, instance, dual, config):
+        def flipped_z_iterate(state, instance, dual, tau):
             # iterate hands prox_z z + tau * omega2; 2 z minus that is z - tau * omega2
             with monkeypatch.context() as patch:
                 patch.setattr(
                     rbal, "prox_z", lambda z_t, *args: prox_z(2.0 * state.z - z_t, *args)
                 )
-                return rbal.iterate(state, instance, dual, config)
+                return rbal.iterate(state, instance, dual, tau)
 
         monkeypatch.setattr(verify_suite, "iterate", flipped_z_iterate)
         assert trajectory_gap(2, 50) > 1e-3
