@@ -206,7 +206,7 @@ def cmd_solve(args):
         with open(args.out, "w") as fh:
             json.dump(solution_json(result, scenario, seed), fh, indent=1)
         print(f"solution written to {args.out}")
-    return 0
+    return 3 if status == "iteration_cap" else 0
 
 
 def run_trial(cfg, n_tx, n_users, trial):

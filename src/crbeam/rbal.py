@@ -18,7 +18,6 @@ not flops: a sweep takes only 1.8x longer at K=8 than at K=2.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .feasibility import p_low_from_gram
 # monotone_scalar_root is unused here; perfbench's tracer wraps it by this name
@@ -202,7 +201,7 @@ def iterate(state, instance, dual, tau):
     r, r1, r2 = _residuals(instance, 2.0 * x_new - x, 2.0 * y_new - y, 2.0 * z_new - z)
 
     rhs = r + dual.theta1 * _quad_diag(ht, r1) + dual.theta2 * _quad_diag(ht, r2)
-    dmu = cho_solve(dual.l_factor, rhs) / tau
+    dmu = np.linalg.solve(dual.l_factor.T, np.linalg.solve(dual.l_factor, rhs)) / tau
     if not np.all(np.isfinite(dmu)):
         raise NumericalDivergence(f"dual step became non-finite at sweep {state.iteration + 1}")
     kap = dual.kappa

@@ -12,7 +12,6 @@ optimum is known in closed form.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .linalg import compact_svd
 
@@ -65,7 +64,7 @@ class DualPrecompute:
     theta1: np.ndarray
     theta2: np.ndarray
     l_matrix: np.ndarray
-    l_factor: tuple
+    l_factor: np.ndarray   # lower Cholesky factor of l_matrix
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def precompute_dual(instance, delta=1e-4):
     )
     l_matrix = delta * np.eye(k) + gram_abs2 * (np.diag(rho**2) + np.ones((k, k)) - kappa * p_matrix)
     try:
-        l_factor = cho_factor(l_matrix, lower=True)
+        l_factor = np.linalg.cholesky(l_matrix)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedDual(f"Cholesky of L failed for delta={delta}: {exc}") from exc
     return DualPrecompute(

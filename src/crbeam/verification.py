@@ -10,7 +10,6 @@ a candidate solution.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .linalg import null_space_basis
 from .rbal import SolverState, prox_x, prox_y, prox_z
@@ -33,7 +32,7 @@ class DenseSystem:
     d: np.ndarray
     b: np.ndarray
     delta: float
-    normal_factor: tuple
+    normal_factor: np.ndarray   # lower Cholesky factor
 
 
 def build_dense_system(instance, delta):
@@ -63,7 +62,7 @@ def build_dense_system(instance, delta):
     b[:k] = instance.noise_power
 
     normal = d @ d.conj().T + delta * np.eye(m)
-    return DenseSystem(d=d, b=b, delta=float(delta), normal_factor=cho_factor(normal, lower=True))
+    return DenseSystem(d=d, b=b, delta=float(delta), normal_factor=np.linalg.cholesky(normal))
 
 
 def _pack_u(state):
@@ -100,7 +99,8 @@ def reference_iterate(state, instance, dense, tau):
 
     u_new = np.concatenate([_vec(xk) for xk in x_new] + [_vec(y_new), _vec(z_new)])
     p = dense.d @ (2.0 * u_new - u) - dense.b
-    lam_new = lam + cho_solve(dense.normal_factor, p) / tau
+    ell = dense.normal_factor
+    lam_new = lam + np.linalg.solve(ell.conj().T, np.linalg.solve(ell, p)) / tau
 
     mu_new = lam_new[:k]
     assert np.max(np.abs(mu_new.imag)) < 1e-10 * (1.0 + np.max(np.abs(mu_new.real)))

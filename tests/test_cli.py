@@ -128,6 +128,14 @@ class TestSolveCommand:
         assert doc["degenerate"] is True
         assert doc["objective"] == pytest.approx(0.16, rel=1e-12)
 
+    def test_iteration_cap_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", max_iters=5)
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--config", str(cfg), "--seed", "3", "--out", str(out)])
+        assert code == 3
+        assert "iteration_cap" in capsys.readouterr().out
+        assert json.loads(out.read_text())["iterations"] == 5
+
     def test_full_check_prints_kkt(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         code = main(["solve", "--config", str(cfg), "--seed", "3", "--full-check"])

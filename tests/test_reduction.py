@@ -4,7 +4,9 @@ import pytest
 from crbeam.linalg import null_space_basis
 from crbeam.pipeline import solve_scenario
 from crbeam.rbal import SolverConfig, solve
-from crbeam.reduction import ReducedInstance, build_reduced, check_degenerate, precompute_dual
+from crbeam.reduction import (
+    IllConditionedDual, ReducedInstance, build_reduced, check_degenerate, precompute_dual,
+)
 from crbeam.scenario import Scenario, evaluate_crb_objective, generate_channel
 from crbeam.verification import kkt_residuals, scalar_oracle_k1
 from conftest import constrained_instance, make_scenario, random_psd
@@ -96,6 +98,26 @@ class TestPrecomputeDual:
         inst = build_reduced(sc, generate_channel(sc, 0))
         with pytest.raises(ValueError):
             precompute_dual(inst, delta=0.0)
+
+    @pytest.mark.parametrize("n_tx, n_users", [(64, 8), (12, 3)])
+    def test_l_factor_reproduces_l_matrix(self, n_tx, n_users):
+        sc = make_scenario(n_tx, n_users)
+        dual = precompute_dual(build_reduced(sc, generate_channel(sc, 1)), delta=1e-4)
+        ell = dual.l_factor
+        assert np.array_equal(ell, np.tril(ell))
+        err = np.linalg.norm(ell @ ell.T - dual.l_matrix) / np.linalg.norm(dual.l_matrix)
+        assert err <= 1e-13
+
+    def test_failed_cholesky_is_ill_conditioned_dual(self, monkeypatch):
+        sc = make_scenario(8, 2)
+        inst = build_reduced(sc, generate_channel(sc, 0))
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(IllConditionedDual, match="delta=0.0001"):
+            precompute_dual(inst, delta=1e-4)
 
 
 class TestDegeneracy:

@@ -31,6 +31,16 @@ class TestDenseSystem:
         assert np.allclose(dense.b[:k], sc.noise_power)
         assert np.allclose(dense.b[k:], 0.0)
 
+    @pytest.mark.parametrize("n_tx, n_users", [(64, 8), (12, 3)])
+    def test_normal_factor_reproduces_normal_matrix(self, n_tx, n_users):
+        sc = make_scenario(n_tx, n_users)
+        dense = build_dense_system(build_reduced(sc, generate_channel(sc, 1)), 1e-4)
+        normal = dense.d @ dense.d.conj().T + 1e-4 * np.eye(dense.d.shape[0])
+        ell = dense.normal_factor
+        assert np.array_equal(ell, np.tril(ell))
+        err = np.linalg.norm(ell @ ell.conj().T - normal) / np.linalg.norm(normal)
+        assert err <= 1e-13
+
     def test_structured_inverse_matches_dense(self):
         for k, delta, bound in [(1, 1e-4, 1e-10), (3, 1e-4, 1e-8), (2, 1e-2, 1e-10)]:
             assert dual_inverse_error(k, delta) < bound
