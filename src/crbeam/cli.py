@@ -19,11 +19,7 @@ from .rbal import SolverConfig
 from .recovery import verify_solution
 from .scenario import Scenario, dbm_to_linear, generate_channel, linear_to_dbm
 from .verification import kkt_residuals
-
-RESULT_COLUMNS = [
-    "trial", "seed", "n_tx", "n_users", "feasible", "degenerate", "crb_objective",
-    "iterations", "setup_seconds", "iter_seconds_total", "final_violation", "min_sinr_margin",
-]
+from .verify_suite import build_checks
 
 
 class ConfigError(Exception):
@@ -61,6 +57,9 @@ class ResultRow:
     iter_seconds_total: object
     final_violation: object
     min_sinr_margin: object
+
+
+RESULT_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def _require_int(name, value, low):
@@ -210,7 +209,8 @@ def cmd_solve(args):
 
 
 def run_trial(cfg, n_tx, n_users, trial):
-    """One seeded trial; returns a ResultRow.  Failures are recorded in-row."""
+    """One seeded trial; returns (ResultRow, capped).  Failures are recorded in-row;
+    capped is True when the solver stopped at max_iters before reaching tol."""
     seed = cfg.base_seed ^ trial
     scenario = make_scenario(cfg, n_tx=n_tx, n_users=n_users)
     channel = generate_channel(scenario, seed)
@@ -218,16 +218,16 @@ def run_trial(cfg, n_tx, n_users, trial):
         result = solve_scenario(scenario, channel, cfg.solver)
     except Exception as exc:  # record and continue the sweep
         print(f"trial {trial} ({n_tx}x{n_users}, seed {seed}) failed: {exc}", file=sys.stderr)
-        return ResultRow(trial, seed, n_tx, n_users, False, False, "", "", "", "", "", "")
+        return ResultRow(trial, seed, n_tx, n_users, False, False, "", "", "", "", "", ""), False
     if not result.feasibility.feasible:
         return ResultRow(
             trial, seed, n_tx, n_users, False, False, "", 0,
             result.setup_seconds, 0.0, "", "",
-        )
+        ), False
     sol = result.solution
     margin = float(np.min(sol.sinr / scenario.sinr_thresholds - 1.0))
     report = result.solve_report
-    return ResultRow(
+    row = ResultRow(
         trial=trial,
         seed=seed,
         n_tx=n_tx,
@@ -241,6 +241,7 @@ def run_trial(cfg, n_tx, n_users, trial):
         final_violation=0.0 if result.degenerate else report.final_violation,
         min_sinr_margin=margin,
     )
+    return row, not result.degenerate and report.status == "iteration_cap"
 
 
 def cmd_sweep(args):
@@ -250,12 +251,15 @@ def cmd_sweep(args):
     param = cfg.sweep["parameter"]
     rows = []
     aggregates = []
+    any_capped = False
     for value in cfg.sweep["values"]:
         n_tx = value if param == "Nt" else cfg.n_tx
         n_users = value if param == "K" else cfg.n_users
-        group = [run_trial(cfg, n_tx, n_users, t) for t in range(cfg.trials)]
-        rows.extend(group)
-        solved = [g for g in group if g.feasible and g.crb_objective != ""]
+        results = [run_trial(cfg, n_tx, n_users, t) for t in range(cfg.trials)]
+        rows.extend(row for row, _ in results)
+        n_capped = sum(capped for _, capped in results)
+        any_capped |= n_capped > 0
+        solved = [row for row, capped in results if row.feasible and row.crb_objective != "" and not capped]
         if solved:
             runtimes = np.array([g.iter_seconds_total for g in solved], dtype=float)
             objectives = np.array([g.crb_objective for g in solved], dtype=float)
@@ -271,7 +275,8 @@ def cmd_sweep(args):
                 float(np.median([g.setup_seconds for g in solved])),
                 float(np.median(runtimes)), "", "",
             ))
-        print(f"{param}={value}: {len(solved)}/{len(group)} trials solved", file=sys.stderr)
+        print(f"{param}={value}: {len(solved)}/{len(results)} trials solved, "
+              f"{n_capped} stopped at iteration_cap", file=sys.stderr)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -279,7 +284,7 @@ def cmd_sweep(args):
         for row in rows + aggregates:
             writer.writerow([getattr(row, col) for col in RESULT_COLUMNS])
     print(f"wrote {len(rows)} trial rows + {len(aggregates)} aggregate rows to {args.out}")
-    return 0
+    return 3 if any_capped else 0
 
 
 def cmd_feasibility(args):
@@ -296,15 +301,8 @@ def cmd_feasibility(args):
     return 0 if report.feasible else 2
 
 
-def _verify_checks(full):
-    """(name, callable) pairs; each callable returns (measured, threshold)."""
-    from . import verify_suite
-
-    return verify_suite.build_checks(full=full)
-
-
 def cmd_verify(args):
-    checks = _verify_checks(full=args.full)
+    checks = build_checks(full=args.full)
     failures = 0
     for name, fn in checks:
         t0 = time.perf_counter()

@@ -1,8 +1,10 @@
 """Complex Hermitian matrix primitives and scalar root finders.
 
 Everything downstream treats these as given: a Hermitian-symmetry measure,
-compact SVD with an explicit rank check, orthonormal null-space bases, and
-the two scalar root finders used by the proximal steps.
+compact SVD with an explicit rank check, orthonormal null-space bases, the
+closed-form positive cubic root behind prox_y and prox_z (Cardano or
+trigonometric by branch, then one Newton polish), and a bisection root finder
+for monotone scalar functions.
 """
 
 import numpy as np
@@ -64,52 +66,40 @@ def null_space_basis(m):
 def positive_cubic_root(sigma, tau):
     """Unique positive root of x^3 - sigma*x^2 - tau = 0 for tau > 0.
 
-    Works elementwise on arrays.  Newton from max(sigma, tau^(1/3)) + 1; the
-    iterates stay on the increasing convex branch, so after one step the
-    sequence decreases monotonically to the root.  Bisection fallback covers
-    pathological floating-point cases.
+    Works elementwise on arrays, in closed form plus one Newton polish; no
+    iteration.  The root of (c sigma, c^3 tau) is c times the root of
+    (sigma, tau), so an exact power-of-two c first brings
+    max(|sigma|, tau^(1/3)) into [1/2, 1), away from overflow and underflow.
+    Each branch is free of cancellation:
+
+    - sigma >= 0: Cardano in x - sigma/3, x = sigma/3 + A + sigma^2 / (9A)
+      with A = cbrt(sigma^3/27 + tau/2 + sqrt(tau (sigma^3/27 + tau/4)));
+    - sigma < 0: u = 1/x solves u^3 + (sigma/tau) u - 1/tau = 0.  When its
+      discriminant D = 1/(4 tau^2) - |sigma|^3/(27 tau^3) is >= 0, Cardano
+      gives u = A + |sigma|/(3 tau A) with A = cbrt(1/(2 tau) + sqrt D);
+      otherwise u is the largest of three real roots,
+      2 sqrt(|sigma|/(3 tau)) cos(arccos(min(1.5/|sigma| sqrt(3 tau/|sigma|), 1))/3).
     """
     sigma = np.asarray(sigma, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be strictly positive")
-    scalar_input = sigma.ndim == 0 and tau.ndim == 0
-    sigma, tau = np.broadcast_arrays(sigma, tau)
-    out_shape = sigma.shape
-    sigma = sigma.astype(float).ravel()
-    tau = tau.astype(float).ravel()
-
-    x = np.maximum(sigma, np.cbrt(tau)) + 1.0
-    res_scale = np.maximum(1.0, np.maximum(np.abs(sigma) ** 3, tau))
-    branch_floor = (2.0 / 3.0) * np.maximum(sigma, 0.0) + 1e-300
-    for it in range(60):
-        step = (x * x * (x - sigma) - tau) / (x * (3.0 * x - 2.0 * sigma))
-        x = np.maximum(x - step, branch_floor)  # stay on the branch where f' > 0
-        if it % 2 and np.all(np.abs(step) <= 2e-15 * np.abs(x) + 1e-300):
-            break
-
-    bad = ~np.isfinite(x) | (np.abs(x * x * (x - sigma) - tau) > 1e-12 * res_scale)
-    if np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            x[i] = _cubic_bisect(sigma[i], tau[i])
-
-    if scalar_input:
-        return float(x[0])
-    return x.reshape(out_shape)
-
-
-def _cubic_bisect(sigma, tau):
-    lo = max(sigma, 0.0)
-    hi = max(sigma, 0.0) + np.cbrt(tau) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * mid * (mid - sigma) - tau > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    return 0.5 * (lo + hi)
+    _, e = np.frexp(np.maximum(np.abs(sigma), np.cbrt(tau)))
+    s = np.ldexp(sigma, -e)
+    t = np.ldexp(tau, -3 * e)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = np.abs(s) ** 3 / 27.0
+        a = np.cbrt(q + 0.5 * t + np.sqrt(t) * np.sqrt(q + 0.25 * t))
+        x_nonneg = s / 3.0 + a + s * s / (9.0 * a)
+        disc = 0.25 / (t * t) - q / t**3
+        a = np.cbrt(0.5 / t + np.sqrt(disc))
+        x_one = 1.0 / (a - s / (3.0 * t * a))
+        r = np.sqrt(-3.0 * t / s)  # x = 1/u = r / (2 cos(...)), with no 1/tau
+        x_three = r / (2.0 * np.cos(np.arccos(np.minimum(-1.5 * r / s, 1.0)) / 3.0))
+        x = np.where(s >= 0.0, x_nonneg, np.where(disc >= 0.0, x_one, x_three))
+    x = x - (x * x * (x - s) - t) / (x * (3.0 * x - 2.0 * s))
+    x = np.ldexp(x, e)
+    return float(x) if x.ndim == 0 else x
 
 
 def monotone_scalar_root(f, lo, hi, f_tol=None):

@@ -12,7 +12,8 @@ primal block (all closed-form, K+2 eigendecompositions of K x K matrices),
 then a structured dual update whose only linear solve is against the cached
 K x K Cholesky factor.  Nothing here touches an Nt-sized object, so a sweep
 costs the same at any antenna count.  At K <= 8 that cost is Python overhead,
-not flops: a sweep takes only 1.8x longer at K=8 than at K=2.
+not flops: in four untraced perfbench runs of the constrained workload a
+sweep took only 1.3-1.8x as long at K=8 as at K=2.
 """
 
 from dataclasses import dataclass

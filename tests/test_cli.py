@@ -180,6 +180,18 @@ class TestSweepCommand:
                 stripped2 = [v for i, v in enumerate(r2) if i not in timing]
                 assert stripped1 == stripped2
 
+    def test_iteration_cap_is_not_solved(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "sweep.json", max_iters=5, sweep={"parameter": "Nt", "values": [8]}
+        )
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "Nt=8: 0/2 trials solved, 2 stopped at iteration_cap" in capsys.readouterr().err
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == RESULT_COLUMNS
+        assert [r[0] for r in rows[1:]] == ["0", "1"]  # no mean/median rows
+
     def test_sweep_requires_sweep_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +100,33 @@ class TestPositiveCubicRoot:
         assert x > 0
         bound = 1e-12 * max(1.0, abs(sigma) ** 3, tau)
         assert abs(x * x * (x - sigma) - tau) <= bound
+
+    def test_exact_bracket(self):
+        # f(x) = x^2 (x - sigma) - tau, evaluated in exact rationals, changes
+        # sign within 1e-14 relative of the returned root
+        rng = np.random.default_rng(11)
+        sigmas = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-8.0, 8.0, 300)
+        taus = 10.0 ** rng.uniform(-15.0, 15.0, 300)
+        cases = [(0.0, 1e-300), (0.0, 1e-30), (-5.0, 1e-40), *zip(sigmas, taus)]
+        rel = Fraction(1, 10**14)
+        missed = []
+        for sigma, tau in cases:
+            x = Fraction(positive_cubic_root(sigma, tau))
+            lo, hi = (y * y * (y - Fraction(sigma)) - Fraction(tau) for y in (x * (1 - rel), x * (1 + rel)))
+            if not lo < 0 < hi:
+                missed.append((sigma, tau, float(x)))
+        assert not missed
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        sigma=st.floats(-10.0, 10.0, allow_nan=False),
+        tau=st.floats(1e-6, 1e3, allow_nan=False),
+        log_c=st.floats(-30.0, 30.0, allow_nan=False),
+    )
+    def test_scale_covariance(self, sigma, tau, log_c):
+        c = 10.0**log_c
+        scaled = positive_cubic_root(c * sigma, c**3 * tau)
+        assert abs(scaled - c * positive_cubic_root(sigma, tau)) <= 1e-14 * scaled
 
 
 class TestMonotoneScalarRoot:
