@@ -41,6 +41,8 @@ class RunConfig:
     base_seed: int = 0
     sweep: dict | None = None
     solver: SolverConfig | None = field(default=None, init=False, repr=False)
+    scenario: Scenario | None = field(default=None, init=False, repr=False)
+    sweep_scenarios: dict = field(default_factory=dict, init=False, repr=False)  # value -> Scenario
 
 
 @dataclass
@@ -89,16 +91,19 @@ def load_config(path):
 
     for name, low in (("n_tx", 1), ("n_users", 1), ("trials", 1), ("max_iters", 0), ("base_seed", 0)):
         _require_int(name, getattr(cfg, name), low)
+    gammas = cfg.gamma_db if isinstance(cfg.gamma_db, list) else [cfg.gamma_db]
+    db_fields = [("p_t_dbm", cfg.p_t_dbm), ("sigma2_dbm", cfg.sigma2_dbm)] + [("gamma_db", g) for g in gammas]
+    for name, value in db_fields:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         cfg.solver = SolverConfig(
             tau=cfg.tau, delta=cfg.delta, tol_violation=cfg.tol, max_iterations=cfg.max_iters
         )
     except (TypeError, ValueError) as exc:  # e.g. "tau": -1 or "tau": "1"
         raise ConfigError(f"invalid solver setting (tau, delta, tol): {exc}") from exc
-    if cfg.n_tx <= cfg.n_users:
-        raise ConfigError(f"n_tx ({cfg.n_tx}) must exceed n_users ({cfg.n_users})")
-    if isinstance(cfg.gamma_db, list) and len(cfg.gamma_db) != cfg.n_users:
-        raise ConfigError(f"gamma_db list must have n_users = {cfg.n_users} entries")
+
+    cfg.scenario = _scenario(cfg, cfg.n_tx, cfg.n_users)
     if cfg.sweep is not None:
         if not isinstance(cfg.sweep, dict):
             raise ConfigError("sweep must be an object with 'parameter' and 'values'")
@@ -110,27 +115,25 @@ def load_config(path):
             raise ConfigError("sweep.values must be a non-empty list")
         for v in values:
             _require_int("sweep.values entry", v, 1)
-            n_tx = v if param == "Nt" else cfg.n_tx
-            n_users = v if param == "K" else cfg.n_users
-            if n_tx <= n_users:
-                raise ConfigError(f"sweep point {param}={v} violates n_tx > n_users")
+            n_tx, n_users = (v, cfg.n_users) if param == "Nt" else (cfg.n_tx, v)
+            cfg.sweep_scenarios[v] = _scenario(cfg, n_tx, n_users, f" at sweep point {param}={v}")
         if any(a >= b for a, b in zip(values, values[1:])):
             raise ConfigError("sweep.values must be strictly increasing")
     return cfg
 
 
-def make_scenario(cfg, n_tx=None, n_users=None):
-    n_tx = n_tx or cfg.n_tx
-    n_users = n_users or cfg.n_users
-    gamma = np.asarray(cfg.gamma_db, dtype=float)
-    thresholds = dbm_to_linear(np.broadcast_to(gamma, (n_users,)))
-    return Scenario(
-        n_tx=n_tx,
-        n_users=n_users,
-        power_budget=float(dbm_to_linear(cfg.p_t_dbm)),
-        sinr_thresholds=thresholds,
-        noise_power=float(dbm_to_linear(cfg.sigma2_dbm)),
-    )
+def _scenario(cfg, n_tx, n_users, where=""):
+    """The Scenario of one run shape; its own checks become config errors."""
+    try:
+        with np.errstate(over="ignore"):  # a dB value past float range becomes inf, which Scenario rejects
+            return Scenario(
+                n_tx=n_tx, n_users=n_users, power_budget=float(dbm_to_linear(cfg.p_t_dbm)),
+                sinr_thresholds=dbm_to_linear(cfg.gamma_db), noise_power=float(dbm_to_linear(cfg.sigma2_dbm)),
+            )
+    except (TypeError, ValueError) as exc:  # e.g. n_tx <= n_users or "p_t_dbm": 1e400
+        raise ConfigError(
+            f"invalid scenario{where} (n_tx, n_users, p_t_dbm, gamma_db, sigma2_dbm): {exc}"
+        ) from exc
 
 
 def _pair(z):
@@ -174,7 +177,7 @@ def solution_json(result, scenario, seed):
 def cmd_solve(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.base_seed
-    scenario = make_scenario(cfg)
+    scenario = cfg.scenario
     channel = generate_channel(scenario, seed)
     result = solve_scenario(scenario, channel, cfg.solver)
 
@@ -208,11 +211,11 @@ def cmd_solve(args):
     return 3 if status == "iteration_cap" else 0
 
 
-def run_trial(cfg, n_tx, n_users, trial):
+def run_trial(cfg, scenario, trial):
     """One seeded trial; returns (ResultRow, capped).  Failures are recorded in-row;
     capped is True when the solver stopped at max_iters before reaching tol."""
     seed = cfg.base_seed ^ trial
-    scenario = make_scenario(cfg, n_tx=n_tx, n_users=n_users)
+    n_tx, n_users = scenario.n_tx, scenario.n_users
     channel = generate_channel(scenario, seed)
     try:
         result = solve_scenario(scenario, channel, cfg.solver)
@@ -252,10 +255,9 @@ def cmd_sweep(args):
     rows = []
     aggregates = []
     any_capped = False
-    for value in cfg.sweep["values"]:
-        n_tx = value if param == "Nt" else cfg.n_tx
-        n_users = value if param == "K" else cfg.n_users
-        results = [run_trial(cfg, n_tx, n_users, t) for t in range(cfg.trials)]
+    for value, scenario in cfg.sweep_scenarios.items():
+        n_tx, n_users = scenario.n_tx, scenario.n_users
+        results = [run_trial(cfg, scenario, t) for t in range(cfg.trials)]
         rows.extend(row for row, _ in results)
         n_capped = sum(capped for _, capped in results)
         any_capped |= n_capped > 0
@@ -290,7 +292,7 @@ def cmd_sweep(args):
 def cmd_feasibility(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.base_seed
-    scenario = make_scenario(cfg)
+    scenario = cfg.scenario
     channel = generate_channel(scenario, seed)
     report = compute_p_low(scenario, channel)
     print(f"p_low: {report.p_low:.9g} mW ({linear_to_dbm(report.p_low):.4f} dBm)")

@@ -23,6 +23,8 @@ import numpy as np
 from .linalg import compact_svd
 
 FEASIBLE_MARGIN = 1e-9
+NEWTON_TOL = 1e-12        # relative fixed-point residual that ends p_low_from_gram
+MAX_NEWTON_STEPS = 100
 
 
 class FixedPointDiverged(Exception):
@@ -39,13 +41,13 @@ class FeasibilityReport:
     residual: float
 
 
-def p_low_from_gram(gram, thresholds, noise, tol=1e-12, max_iterations=100):
+def p_low_from_gram(gram, thresholds, noise):
     """Newton's method for lambda = T(lambda) on a channel Gram matrix H^H H.
 
     Returns (lambdas, iterations, residual): iterations counts the steps taken
     from lambda = 0, and residual = max_k |T_k - lambda_k| / T_k at the
-    returned point, which is at most tol.  Raises FixedPointDiverged when
-    max_iterations steps do not get there.
+    returned point, which is at most NEWTON_TOL.  Raises FixedPointDiverged
+    when MAX_NEWTON_STEPS steps do not get there.
 
     Each step solves (I - J) delta = T(lambda) - lambda.  T is concave and
     monotone, so a Newton point with every entry positive satisfies
@@ -61,13 +63,13 @@ def p_low_from_gram(gram, thresholds, noise, tol=1e-12, max_iterations=100):
     rho = 1.0 + 1.0 / thresholds
     eye = np.eye(thresholds.size)
     lam = np.zeros(thresholds.size)
-    for iterations in range(max_iterations + 1):
+    for iterations in range(MAX_NEWTON_STEPS + 1):
         # A = (I + G D)^-1 G without inverting G, which may be near singular
         a = np.linalg.solve(eye + gram * (lam / noise), gram)
         q = a.diagonal().real
         target = noise / (rho * q)
         residual = float(np.max(np.abs(target - lam) / target))
-        if residual <= tol:
+        if residual <= NEWTON_TOL:
             return lam, iterations, residual
         jac = np.abs(a) ** 2 / (rho * q * q)[:, None]
         new = lam + np.linalg.solve(eye - jac, target - lam)
@@ -75,7 +77,7 @@ def p_low_from_gram(gram, thresholds, noise, tol=1e-12, max_iterations=100):
             new = (1.0 + thresholds) * target - thresholds * lam
         lam = new
     raise FixedPointDiverged(
-        f"no convergence in {max_iterations} iterations (residual {residual:.2e})"
+        f"no convergence in {MAX_NEWTON_STEPS} iterations (residual {residual:.2e})"
     )
 
 
@@ -87,7 +89,6 @@ def compute_p_low(scenario, channel, check_rank=True):
     that already ran the range-space SVD of this channel (which raises
     RankDeficientChannel) pass check_rank=False to skip a second one.
     """
-    channel = np.asarray(channel)
     if check_rank:
         compact_svd(channel)
     gram = channel.conj().T @ channel

@@ -1,10 +1,9 @@
 """Complex Hermitian matrix primitives and scalar root finders.
 
-Everything downstream treats these as given: a Hermitian-symmetry measure,
-compact SVD with an explicit rank check, orthonormal null-space bases, the
-closed-form positive cubic root behind prox_y and prox_z (Cardano or
-trigonometric by branch, then one Newton polish), and a bisection root finder
-for monotone scalar functions.
+Everything downstream treats these as given: compact SVD with an explicit
+rank check, orthonormal null-space bases, the closed-form positive cubic root
+behind prox_y and prox_z (Cardano or trigonometric by branch, then one Newton
+polish), and a bisection root finder for monotone scalar functions.
 """
 
 import numpy as np
@@ -18,14 +17,6 @@ class RankDeficientChannel(Exception):
 
 class InvalidBracket(Exception):
     """Root bracket does not straddle a sign change."""
-
-
-def hermitian_asymmetry(a):
-    """Max-abs deviation from Hermitian symmetry, relative to ||A||_F."""
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return 0.0
-    return np.max(np.abs(a - a.conj().T)) / scale
 
 
 def compact_svd(m):
@@ -102,12 +93,11 @@ def positive_cubic_root(sigma, tau):
     return float(x) if x.ndim == 0 else x
 
 
-def monotone_scalar_root(f, lo, hi, f_tol=None):
+def monotone_scalar_root(f, lo, hi):
     """Bisection root of a monotone scalar function on the bracket [lo, hi].
 
-    Stops when |f(mid)| <= f_tol (when given) or the bracket has shrunk to
-    1e-14 of its initial width.  Raises InvalidBracket when f(lo) and f(hi)
-    have the same sign.
+    Stops when the bracket has shrunk to 1e-14 of its initial width.  Raises
+    InvalidBracket when f(lo) and f(hi) have the same sign.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -119,13 +109,9 @@ def monotone_scalar_root(f, lo, hi, f_tol=None):
         raise InvalidBracket(f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} have the same sign")
     width0 = hi - lo
     increasing = fhi > 0.0
-    mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if f_tol is not None and abs(fmid) <= f_tol:
-            return mid
-        if (fmid > 0.0) == increasing:
+        if (f(mid) > 0.0) == increasing:
             hi = mid
         else:
             lo = mid

@@ -231,15 +231,15 @@ def objective_value(state, instance):
     return head + (instance.n_tx - instance.n_users) ** 2 / slack
 
 
-def solve(instance, dual, config=None, init=None):
-    """Run sweeps until the violation norm drops below config.tol_violation.
+def solve(instance, dual, config, init):
+    """Run sweeps from `init` until the violation norm drops below
+    config.tol_violation.
 
     Returns (final_state, SolveReport).  Hitting the iteration cap is reported
     via status "iteration_cap", not an exception.
     """
-    config = config or SolverConfig()
     tau = default_stepsize(instance) if config.tau is None else config.tau
-    state = init if init is not None else initial_state(instance)
+    state = init
 
     trace = [] if config.log_every else None
     for steps in range(config.max_iterations + 1):

@@ -20,6 +20,8 @@ import numpy as np
 from .linalg import null_space_basis
 from .scenario import evaluate_sinr
 
+NEG_TOL = 1e-8  # sensing_factor: an eigenvalue below -NEG_TOL * trace is not PSD
+
 
 class ExtractionDegenerate(Exception):
     """tr(Q_k X_k) vanished for some user; input is not a valid optimum."""
@@ -74,7 +76,6 @@ def extract_rank_one(x_star, instance, channel):
     v_k = X_k q_k / sqrt(t_k) with t_k = q_k^H X_k q_k, the range block is
     sum_k X_k and theta spends the remaining budget on the null space.
     """
-    x_star = np.asarray(x_star)
     ht = instance.h_tilde
 
     # per-user signal weights t_k = q_k^H X_k q_k = tr(Q_k X_k)
@@ -90,32 +91,31 @@ def extract_rank_one(x_star, instance, channel):
     return range_solution(instance, channel, v, x_star.sum(axis=0), theta)
 
 
-def sensing_factor(cov, neg_tol=1e-8):
+def sensing_factor(cov):
     """Rank-revealing square root F with F F^H = cov.
 
     Eigenvalue-based rather than Cholesky because the sensing covariance is
-    typically rank deficient.  Eigenvalues below -neg_tol * tr(cov) raise
+    typically rank deficient.  Eigenvalues below -NEG_TOL * tr(cov) raise
     NotPSD; smaller negatives are clipped to zero.
     """
     eigs, vecs = np.linalg.eigh(cov)
     tr = float(np.sum(np.abs(eigs)))
     if tr == 0.0:
         return np.zeros((cov.shape[0], 0), dtype=complex)
-    if eigs[0] < -neg_tol * tr:
-        raise NotPSD(f"eigenvalue {eigs[0]:.3e} below -{neg_tol:.0e} * trace")
+    if eigs[0] < -NEG_TOL * tr:
+        raise NotPSD(f"eigenvalue {eigs[0]:.3e} below -{NEG_TOL:.0e} * trace")
     eigs = np.maximum(eigs, 0.0)
     keep = eigs > 1e-14 * eigs[-1]
     return vecs[:, keep] * np.sqrt(eigs[keep])
 
 
-def verify_solution(sol, scenario, channel, reduced_objective=None):
+def verify_solution(sol, scenario, channel, reduced_objective):
     """Diagnostic residuals of a solution against the original constraints.
 
-    Returns a dict of relative residuals/margins; purely informational, never
-    raises.  If `reduced_objective` is given the consistency gap against the
-    full-space trace-inverse objective is included.
+    Returns a dict of relative residuals/margins, including the gap between
+    `reduced_objective` and the full-space trace-inverse objective; purely
+    informational, never raises.
     """
-    channel = np.asarray(channel)
     thresholds = scenario.sinr_thresholds
     w = np.column_stack(sol.w)
 
@@ -135,7 +135,8 @@ def verify_solution(sol, scenario, channel, reduced_objective=None):
     )
     cross_scale = np.linalg.norm(channel, 2) * max(np.abs(sensing_eigs[-1]), 1e-300)
 
-    record = {
+    full_obj = float(np.sum(1.0 / np.linalg.eigvalsh(full)))
+    return {
         "sinr_margin": float(np.min(sinr / thresholds - 1.0)),
         "power_residual": abs(power - scenario.power_budget) / scenario.power_budget,
         "sensing_psd_margin": float(sensing_eigs[0] / max(sensing_tr / n_tx, 1e-300)),
@@ -144,8 +145,5 @@ def verify_solution(sol, scenario, channel, reduced_objective=None):
         "cov_residual": float(
             np.linalg.norm(w @ w.conj().T + sensing - full) / np.linalg.norm(full)
         ),
+        "objective_gap": abs(full_obj - reduced_objective) / abs(full_obj),
     }
-    if reduced_objective is not None:
-        full_obj = float(np.sum(1.0 / np.linalg.eigvalsh(full)))
-        record["objective_gap"] = abs(full_obj - reduced_objective) / abs(full_obj)
-    return record

@@ -103,7 +103,7 @@ def build_reduced(scenario, channel):
     )
 
 
-def precompute_dual(instance, delta=1e-4):
+def precompute_dual(instance, delta):
     """Assemble kappa, alpha, beta, Theta_1, Theta_2 and the Schur matrix L.
 
     L is the K x K Schur complement of the regularized dual normal matrix;

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+COND_TOL = 1e-12  # evaluate_crb_objective: lambda_min <= COND_TOL * lambda_max is singular
+
 
 class SingularCovariance(Exception):
     """Covariance is numerically singular; trace-inverse objective undefined."""
@@ -18,7 +20,7 @@ class Scenario:
     """Downlink instance: Nt antennas serving K single-antenna users.
 
     power_budget and noise_power are linear mW; sinr_thresholds are linear
-    ratios (one per user).
+    ratios, one per user, or one scalar for every user.
     """
 
     n_tx: int
@@ -28,16 +30,17 @@ class Scenario:
     noise_power: float
 
     def __post_init__(self):
-        thresholds = np.atleast_1d(np.asarray(self.sinr_thresholds, dtype=float))
-        if thresholds.size == 1 and self.n_users > 1:
-            thresholds = np.full(self.n_users, thresholds[0])
+        thresholds = np.asarray(self.sinr_thresholds, dtype=float)
+        if thresholds.ndim == 0:
+            thresholds = np.full(self.n_users, thresholds)
         object.__setattr__(self, "sinr_thresholds", thresholds)
         if self.n_tx <= self.n_users:
             raise ValueError(f"need n_tx > n_users, got {self.n_tx} <= {self.n_users}")
-        if thresholds.size != self.n_users:
-            raise ValueError("sinr_thresholds length must equal n_users")
-        if not (self.power_budget > 0 and self.noise_power > 0 and np.all(thresholds > 0)):
-            raise ValueError("powers and SINR thresholds must be strictly positive")
+        if thresholds.shape != (self.n_users,):
+            raise ValueError(f"sinr_thresholds must be a scalar or hold n_users = {self.n_users} entries")
+        values = np.append(thresholds, [self.power_budget, self.noise_power])
+        if not np.all((values > 0) & np.isfinite(values)):
+            raise ValueError("powers and SINR thresholds must be finite and strictly positive")
 
 
 def dbm_to_linear(x_db):
@@ -62,32 +65,20 @@ def generate_channel(scenario, seed):
 
 
 def evaluate_sinr(channel, beamformers, sensing_cov, noise):
-    """Per-user SINR of beamforming vectors w_k under sensing covariance.
-
-    beamformers may be an Nt x K matrix (columns per user) or a list of K
-    vectors.  sensing_cov is the Nt x Nt covariance of the sensing stream.
-    """
-    h = np.asarray(channel)
-    if isinstance(beamformers, np.ndarray) and beamformers.ndim == 2:
-        w = beamformers
-    else:
-        w = np.column_stack([np.ravel(v) for v in beamformers])
-    if w.shape != h.shape:
-        raise ValueError(f"beamformer shape {w.shape} does not match channel {h.shape}")
-    k = h.shape[1]
-    gains = np.abs(h.conj().T @ w) ** 2          # gains[k, i] = |h_k^H w_i|^2
-    signal = np.diag(gains).copy()
+    """Per-user SINR of the Nt x K beamformer matrix (one column per user)
+    under the Nt x Nt covariance of the sensing stream."""
+    if beamformers.shape != channel.shape:
+        raise ValueError(f"beamformer shape {beamformers.shape} does not match channel {channel.shape}")
+    gains = np.abs(channel.conj().T @ beamformers) ** 2  # gains[k, i] = |h_k^H w_i|^2
+    signal = np.diag(gains)
     interference = gains.sum(axis=1) - signal
-    if sensing_cov is None:
-        sensing = np.zeros(k)
-    else:
-        sensing = np.einsum("ik,ik->k", h.conj(), sensing_cov @ h).real
+    sensing = np.einsum("ik,ik->k", channel.conj(), sensing_cov @ channel).real
     return signal / (interference + sensing + noise)
 
 
-def evaluate_crb_objective(cov, cond_tol=1e-12):
+def evaluate_crb_objective(cov):
     """tr(cov^-1) for a positive definite Hermitian covariance."""
     eigs = np.linalg.eigvalsh(cov)
-    if eigs[0] <= cond_tol * eigs[-1]:
-        raise SingularCovariance(f"min eigenvalue {eigs[0]:.3e} <= {cond_tol:.0e} * {eigs[-1]:.3e}")
+    if eigs[0] <= COND_TOL * eigs[-1]:
+        raise SingularCovariance(f"min eigenvalue {eigs[0]:.3e} <= {COND_TOL:.0e} * {eigs[-1]:.3e}")
     return float(np.sum(1.0 / eigs))

@@ -250,7 +250,7 @@ def test_criterion_08_feasibility_oracle():
         w, powers = dual_minpower_beamformers(above, channel, rep_above.lambdas)
         assert float(powers.sum()) <= above.power_budget
         assert float(powers.sum()) == pytest.approx(p_low, rel=1e-8)
-        sinr = evaluate_sinr(channel, w, None, above.noise_power)
+        sinr = evaluate_sinr(channel, w, np.zeros((above.n_tx, above.n_tx)), above.noise_power)
         assert np.min(sinr / above.sinr_thresholds) >= 1.0 - 1e-8
         # below the boundary that same power is no longer affordable, and by
         # duality no cheaper SINR-satisfying point exists

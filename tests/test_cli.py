@@ -62,6 +62,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("n_tx", "64"), ("n_users", 0), ("n_tx", 8.5), ("tau", -1), ("trials", True),
+        ("p_t_dbm", None), ("gamma_db", "abc"), ("gamma_db", [10, "x"]), ("gamma_db", {"a": 1}),
+        ("sigma2_dbm", "5"), ("p_t_dbm", 1e400),
     ])
     def test_malformed_field_is_config_error(self, tmp_path, capsys, name, value):
         p = write_config(tmp_path / "c.json", **{name: value})
@@ -77,8 +79,10 @@ class TestConfig:
         {"n_tx": 8, "n_users": 2, "sweep": [1]},
         {"n_tx": 8, "n_users": 2, "sweep": {"parameter": "K", "values": [1.5, 2]}},
         {"n_tx": 8, "n_users": 2, "sweep": {"parameter": "K", "values": [True]}},
+        {"n_tx": 12, "n_users": 2, "gamma_db": [10, 12], "trials": 1,
+         "sweep": {"parameter": "K", "values": [1, 3]}},
     ], ids=["values-string", "top-level-number", "top-level-list", "sweep-list",
-            "values-float", "values-bool"])
+            "values-float", "values-bool", "k-sweep-gamma-list"])
     def test_malformed_document_is_config_error(self, tmp_path, capsys, document):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(document))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crbeam import feasibility
 from crbeam.feasibility import FixedPointDiverged, compute_p_low, p_low_from_gram
 from crbeam.scenario import Scenario, evaluate_sinr, generate_channel
 from conftest import make_scenario
@@ -121,13 +122,14 @@ class TestNewton:
         assert np.max(np.abs(rep.lambdas - ref) / ref) <= 1e-10
         w, powers = dual_minpower_beamformers(sc, h, rep.lambdas)
         assert float(powers.sum()) == pytest.approx(rep.p_low, rel=1e-8)
-        sinr = evaluate_sinr(h, w, None, sc.noise_power)
+        sinr = evaluate_sinr(h, w, np.zeros((sc.n_tx, sc.n_tx)), sc.noise_power)
         assert np.max(np.abs(sinr / sc.sinr_thresholds - 1.0)) < 1e-8
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         gram = random_gram(8, 3, 0)
+        monkeypatch.setattr(feasibility, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(FixedPointDiverged):
-            p_low_from_gram(gram, np.full(3, 10.0), 1.0, max_iterations=1)
+            p_low_from_gram(gram, np.full(3, 10.0), 1.0)
 
 
 class TestClosedForms:
@@ -204,5 +206,5 @@ class TestDualityCertificate:
         w, powers = dual_minpower_beamformers(sc, h, rep.lambdas)
         assert np.all(powers > 0)
         assert float(powers.sum()) == pytest.approx(rep.p_low, rel=1e-8)
-        sinr = evaluate_sinr(h, w, None, sc.noise_power)
+        sinr = evaluate_sinr(h, w, np.zeros((sc.n_tx, sc.n_tx)), sc.noise_power)
         assert np.max(np.abs(sinr / sc.sinr_thresholds - 1.0)) < 1e-8

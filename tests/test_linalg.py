@@ -8,7 +8,6 @@ from crbeam.linalg import (
     InvalidBracket,
     RankDeficientChannel,
     compact_svd,
-    hermitian_asymmetry,
     monotone_scalar_root,
     null_space_basis,
     positive_cubic_root,
@@ -145,10 +144,3 @@ class TestMonotoneScalarRoot:
     def test_invalid_bracket(self):
         with pytest.raises(InvalidBracket):
             monotone_scalar_root(lambda x: x + 10.0, 0.0, 1.0)
-
-
-def test_hermitian_asymmetry_measure():
-    a = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 3.0]])
-    assert hermitian_asymmetry(a) == 0.0
-    a[0, 1] += 1e-3
-    assert hermitian_asymmetry(a) > 1e-5

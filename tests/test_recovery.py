@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crbeam.linalg import null_space_basis
-from crbeam.rbal import SolverConfig, solve
+from crbeam.rbal import SolverConfig, initial_state, solve
 from crbeam.recovery import (
     BeamformingSolution,
     ExtractionDegenerate,
@@ -28,7 +28,7 @@ def converged(n_tx, k, seed):
     scenario, channel = constrained_instance(n_tx, k, seed=seed, factor=3.0)
     inst = build_reduced(scenario, channel)
     dual = precompute_dual(inst, 1e-4)
-    state, report = solve(inst, dual, SolverConfig())
+    state, report = solve(inst, dual, SolverConfig(), initial_state(inst))
     assert report.status == "converged"
     return scenario, channel, inst, state
 
@@ -199,5 +199,5 @@ class TestVerifySolution:
             objective=0.0,
             sinr=evaluate_sinr(channel, np.column_stack(weak_w), sol.sensing_cov, scenario.noise_power),
         )
-        diag = verify_solution(weak, scenario, channel)
+        diag = verify_solution(weak, scenario, channel, reduced_objective=sol.objective)
         assert diag["sinr_margin"] < -0.1

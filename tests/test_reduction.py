@@ -3,7 +3,7 @@ import pytest
 
 from crbeam.linalg import null_space_basis
 from crbeam.pipeline import solve_scenario
-from crbeam.rbal import SolverConfig, solve
+from crbeam.rbal import SolverConfig, initial_state, solve
 from crbeam.reduction import (
     IllConditionedDual, ReducedInstance, build_reduced, check_degenerate, precompute_dual,
 )
@@ -231,6 +231,6 @@ def test_solver_invariant_to_basis_choice(solved_k3):
         n_users=inst.n_users,
     )
     dual = precompute_dual(rotated, 1e-4)
-    _, report = solve(rotated, dual, SolverConfig())
+    _, report = solve(rotated, dual, SolverConfig(), initial_state(rotated))
     assert report.status == "converged"
     assert report.objective == pytest.approx(result.solve_report.objective, rel=1e-8)

@@ -31,6 +31,15 @@ def test_scenario_validation():
         make_scenario(4, 4)
     with pytest.raises(ValueError):
         make_scenario(4, 2, power=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            make_scenario(4, 2, power=bad)
+        with pytest.raises(ValueError):
+            make_scenario(4, 2, noise=bad)
+        with pytest.raises(ValueError):
+            make_scenario(4, 2, gamma=bad)
+    with pytest.raises(ValueError):
+        Scenario(8, 3, 10.0, np.array([5.0]), 1.0)  # a list needs one entry per user
     sc = Scenario(8, 3, 10.0, 5.0, 1.0)  # scalar threshold broadcast
     assert sc.sinr_thresholds.shape == (3,)
 
@@ -68,19 +77,19 @@ class TestEvaluateSinr:
     def test_orthogonal_users_no_cross_terms(self):
         h = np.eye(4, dtype=complex)[:, :2]
         w = 2.0 * h  # aligned beams
-        sinr = evaluate_sinr(h, w, None, 1.0)
+        sinr = evaluate_sinr(h, w, np.zeros((4, 4)), 1.0)
         assert np.allclose(sinr, 4.0, rtol=1e-12)
 
-    def test_list_input_and_sensing_term(self):
+    def test_sensing_term(self):
         h = np.eye(3, dtype=complex)[:, :1]
         sensing = np.eye(3) * 0.5
-        sinr = evaluate_sinr(h, [np.array([1.0, 0, 0])], sensing, 0.5)
+        sinr = evaluate_sinr(h, np.array([[1.0], [0.0], [0.0]]), sensing, 0.5)
         assert sinr[0] == pytest.approx(1.0 / (0.5 + 0.5), rel=1e-12)
 
     def test_dimension_mismatch(self):
         h = np.eye(4, dtype=complex)[:, :2]
         with pytest.raises(ValueError):
-            evaluate_sinr(h, np.ones((3, 2), dtype=complex), None, 1.0)
+            evaluate_sinr(h, np.ones((3, 2), dtype=complex), np.zeros((4, 4)), 1.0)
 
 
 class TestCrbObjective:

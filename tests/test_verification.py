@@ -159,14 +159,14 @@ def test_optimality_spot_check():
     so every sampled point satisfies the SINR and power constraints exactly.
     """
     from crbeam.feasibility import compute_p_low
-    from crbeam.rbal import SolverConfig, solve
+    from crbeam.rbal import SolverConfig, initial_state, solve
     from crbeam.reduction import build_reduced, precompute_dual
     from test_feasibility import dual_minpower_beamformers
 
     scenario, channel = constrained_instance(10, 3, seed=6, factor=3.0)
     inst = build_reduced(scenario, channel)
     dual = precompute_dual(inst, 1e-4)
-    state, report = solve(inst, dual, SolverConfig())
+    state, report = solve(inst, dual, SolverConfig(), initial_state(inst))
     assert report.status == "converged"
 
     def reduced_objective(x_stack):
