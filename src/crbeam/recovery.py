@@ -9,8 +9,8 @@ Y = sum_k X_k, theta = (P_T - sum tr X_k) / (Nt - K) and the beamformers
 
 and the sensing covariance is the remainder R - W W^H.  One builder,
 `range_solution`, assembles the answers of both regimes: the objective from
-Y alone, the Nt x Nt covariances in O(Nt^2 K), plus one dense Nt x Nt `eigh`
-for the sensing factor.
+Y alone, the sensing covariance in O(Nt^2 K), its factor by one dense `eigh`.
+An answer holds those two Nt x Nt arrays; `full_cov` is recomputed on access.
 """
 
 from dataclasses import dataclass
@@ -36,9 +36,16 @@ class BeamformingSolution:
     w: list                       # K beamforming vectors, each (Nt,)
     sensing_cov: np.ndarray       # Nt x Nt PSD covariance of the sensing stream
     sensing_factor: np.ndarray | None
-    full_cov: np.ndarray          # Nt x Nt total covariance
     objective: float              # tr(full_cov^-1)
     sinr: np.ndarray
+
+    @property
+    def full_cov(self):
+        """Nt x Nt total covariance W W^H + sensing_cov in O(Nt^2 K); uncached."""
+        w = np.column_stack(self.w)
+        full = w @ w.conj().T
+        full += self.sensing_cov
+        return full
 
 
 def range_solution(instance, channel, v, total, theta):
@@ -47,24 +54,18 @@ def range_solution(instance, channel, v, total, theta):
     `v` holds the beamformers in the range basis (w = U v), `total` is the
     K x K range block of the total covariance and `theta` its null-space
     level.  The objective tr(R^-1) = sum 1/eig(total) + (Nt - K) / theta is
-    read off the K x K block.
+    read off the K x K block; the answer's `full_cov` is recomputed on access.
     """
     u = instance.u_tilde
     n_tx, k = instance.n_tx, instance.n_users
     w = u @ v
-    # exact zero range excess for the isotropic witness (total = theta I)
-    excess = total - theta * np.eye(k)
-    sensing_cov = (u @ (excess - v @ v.conj().T)) @ u.conj().T
+    # total - theta I is exactly zero for the isotropic witness (total = theta I)
+    sensing_cov = (u @ (total - theta * np.eye(k) - v @ v.conj().T)) @ u.conj().T
     sensing_cov.flat[:: n_tx + 1] += theta
-    factor = sensing_factor(sensing_cov)
-    # built after the factor so its eigh workspace and full_cov never coexist
-    full_cov = (u @ excess) @ u.conj().T
-    full_cov.flat[:: n_tx + 1] += theta
     return BeamformingSolution(
         w=list(w.T),
         sensing_cov=sensing_cov,
-        sensing_factor=factor,
-        full_cov=full_cov,
+        sensing_factor=sensing_factor(sensing_cov),
         objective=float(np.sum(1.0 / np.linalg.eigvalsh(total))) + (n_tx - k) / theta,
         sinr=evaluate_sinr(channel, w, sensing_cov, instance.noise_power),
     )
@@ -104,9 +105,11 @@ def sensing_factor(cov):
         return np.zeros((cov.shape[0], 0), dtype=complex)
     if eigs[0] < -NEG_TOL * tr:
         raise NotPSD(f"eigenvalue {eigs[0]:.3e} below -{NEG_TOL:.0e} * trace")
-    eigs = np.maximum(eigs, 0.0)
-    keep = eigs > 1e-14 * eigs[-1]
-    return vecs[:, keep] * np.sqrt(eigs[keep])
+    # eigh sorts ascending: scale the kept suffix of vecs in place, uncopied
+    first = np.searchsorted(eigs, 1e-14 * eigs[-1], side="right")
+    factor = vecs[:, first:]
+    factor *= np.sqrt(eigs[first:])
+    return factor
 
 
 def verify_solution(sol, scenario, channel, reduced_objective):
@@ -116,11 +119,10 @@ def verify_solution(sol, scenario, channel, reduced_objective):
     `reduced_objective` and the full-space trace-inverse objective; purely
     informational, never raises.
     """
-    thresholds = scenario.sinr_thresholds
     w = np.column_stack(sol.w)
-
-    sensing = sol.sensing_cov
-    full = sol.full_cov
+    sensing, full = sol.sensing_cov, sol.full_cov  # full_cov is rebuilt per access
+    f = sol.sensing_factor
+    factor_gap = 0.0 if f is None else float(np.linalg.norm(f @ f.conj().T - sensing))
 
     power = float(np.trace(full).real)
     sinr = evaluate_sinr(channel, w, sensing, scenario.noise_power)
@@ -137,13 +139,11 @@ def verify_solution(sol, scenario, channel, reduced_objective):
 
     full_obj = float(np.sum(1.0 / np.linalg.eigvalsh(full)))
     return {
-        "sinr_margin": float(np.min(sinr / thresholds - 1.0)),
+        "sinr_margin": float(np.min(sinr / scenario.sinr_thresholds - 1.0)),
         "power_residual": abs(power - scenario.power_budget) / scenario.power_budget,
         "sensing_psd_margin": float(sensing_eigs[0] / max(sensing_tr / n_tx, 1e-300)),
         "range_leak": float(np.max(np.abs(channel.conj().T @ sensing)) / cross_scale),
         "projector_gap": float(projector_gap),
-        "cov_residual": float(
-            np.linalg.norm(w @ w.conj().T + sensing - full) / np.linalg.norm(full)
-        ),
+        "cov_residual": factor_gap / float(np.linalg.norm(full)),  # F F^H vs sensing_cov
         "objective_gap": abs(full_obj - reduced_objective) / abs(full_obj),
     }

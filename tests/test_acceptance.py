@@ -310,7 +310,6 @@ def test_criterion_10_kkt_certification():
         w=sol.w,
         sensing_cov=half,
         sensing_factor=None,
-        full_cov=np.column_stack(sol.w) @ np.column_stack(sol.w).conj().T + half,
         objective=0.0,
         sinr=sol.sinr,
     )

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from crbeam.cli import ConfigError, RESULT_COLUMNS, load_config, main
@@ -106,6 +107,24 @@ class TestSolveCommand:
         assert all(isinstance(v, float) for v in w0[0])
         assert len(doc["sinr"]) == 2
         assert doc["final_violation"] < 1e-9
+
+    def test_solution_json_rebuilds_covariance(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+
+        def complex_matrix(rows):
+            pairs = np.array(rows, dtype=float)
+            return pairs[..., 0] + 1j * pairs[..., 1]
+
+        w = complex_matrix(doc["beamformers"]).T  # one column per user
+        f = complex_matrix(doc["sensing_factor"])
+        assert w.shape == (8, 2) and f.shape[0] == 8
+        full = w @ w.conj().T + f @ f.conj().T
+        budget = doc["scenario"]["power_budget_mw"]
+        assert np.trace(full).real == pytest.approx(budget, rel=1e-9)
+        assert np.trace(np.linalg.inv(full)).real == pytest.approx(doc["objective"], rel=1e-6)
 
     def test_deterministic_given_seed(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

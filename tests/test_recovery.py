@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,50 @@ class TestRangeSolution:
         assert np.array_equal(result.solution.full_cov, sol.full_cov)
 
 
+def traced_peak(fn):
+    """fn()'s result and the tracemalloc peak in bytes of the call."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Building an answer allocates about two Nt x Nt arrays at its peak: the
+    sensing covariance and eigh's eigenvectors, scaled in place.  The total
+    covariance is not built."""
+
+    N_TX, K = 512, 4
+    BOUND = 2.2 * N_TX**2 * 16  # bytes of 2.2 complex Nt x Nt arrays
+
+    @pytest.fixture(scope="class")
+    def isotropic(self):
+        scenario = make_scenario(self.N_TX, self.K)  # 20 dBm
+        channel = generate_channel(scenario, 1)
+        solve_scenario(scenario, channel)  # warm-up outside the traced call
+        return scenario, channel
+
+    def test_solve_scenario(self, isotropic):
+        result, peak = traced_peak(lambda: solve_scenario(*isotropic))
+        assert result.degenerate
+        assert peak <= self.BOUND
+
+    def test_range_solution_clipped_factor(self, isotropic):
+        scenario, channel = isotropic
+        inst = build_reduced(scenario, channel)
+        verdict = check_degenerate(inst)
+        c = scenario.power_budget / self.N_TX
+        # lambda_max(v v^H) = c leaves one zero eigenvalue in c I - W W^H to clip
+        v = verdict.v * np.sqrt(c / np.linalg.eigvalsh(verdict.v @ verdict.v.conj().T)[-1])
+        sol, peak = traced_peak(lambda: range_solution(inst, channel, v, c * np.eye(self.K), c))
+        assert peak <= self.BOUND
+        f = sol.sensing_factor
+        assert f.shape == (self.N_TX, self.N_TX - 1)
+        gap = np.linalg.norm(f @ f.conj().T - sol.sensing_cov)
+        assert gap <= 1e-12 * np.linalg.norm(sol.sensing_cov)
+
+
 class TestSensingFactor:
     def test_rank_one(self):
         cov = np.zeros((4, 4), dtype=complex)
@@ -195,9 +242,15 @@ class TestVerifySolution:
             w=weak_w,
             sensing_cov=sol.sensing_cov,
             sensing_factor=None,
-            full_cov=np.column_stack(weak_w) @ np.column_stack(weak_w).conj().T + sol.sensing_cov,
             objective=0.0,
             sinr=evaluate_sinr(channel, np.column_stack(weak_w), sol.sensing_cov, scenario.noise_power),
         )
         diag = verify_solution(weak, scenario, channel, reduced_objective=sol.objective)
         assert diag["sinr_margin"] < -0.1
+
+    def test_flags_factor_mismatch(self, converged_k3):
+        scenario, channel, inst, state = converged_k3
+        sol = extract_rank_one(state.x, inst, channel=channel)
+        short = replace(sol, sensing_factor=sol.sensing_factor[:, 1:])  # one column lost
+        diag = verify_solution(short, scenario, channel, reduced_objective=sol.objective)
+        assert diag["cov_residual"] > 1e-3

@@ -143,7 +143,6 @@ class TestKktResiduals:
             w=w,
             sensing_cov=half_sensing,
             sensing_factor=None,
-            full_cov=np.column_stack(w) @ np.column_stack(w).conj().T + half_sensing,
             objective=0.0,
             sinr=sol.sinr,
         )
