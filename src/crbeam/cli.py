@@ -89,7 +89,7 @@ def load_config(path):
             raise ConfigError(f"config field '{req}' is required")
     cfg = RunConfig(**raw)
 
-    for name, low in (("n_tx", 1), ("n_users", 1), ("trials", 1), ("max_iters", 0), ("base_seed", 0)):
+    for name, low in (("n_tx", 1), ("n_users", 1), ("trials", 1), ("base_seed", 0)):
         _require_int(name, getattr(cfg, name), low)
     gammas = cfg.gamma_db if isinstance(cfg.gamma_db, list) else [cfg.gamma_db]
     db_fields = [("p_t_dbm", cfg.p_t_dbm), ("sigma2_dbm", cfg.sigma2_dbm)] + [("gamma_db", g) for g in gammas]
@@ -100,8 +100,8 @@ def load_config(path):
         cfg.solver = SolverConfig(
             tau=cfg.tau, delta=cfg.delta, tol_violation=cfg.tol, max_iterations=cfg.max_iters
         )
-    except (TypeError, ValueError) as exc:  # e.g. "tau": -1 or "tau": "1"
-        raise ConfigError(f"invalid solver setting (tau, delta, tol): {exc}") from exc
+    except (TypeError, ValueError) as exc:  # e.g. "tau": -1, "tau": "1" or "max_iters": 2.5
+        raise ConfigError(f"invalid solver setting (tau, delta, tol, max_iters): {exc}") from exc
 
     cfg.scenario = _scenario(cfg, cfg.n_tx, cfg.n_users)
     if cfg.sweep is not None:
@@ -263,20 +263,14 @@ def cmd_sweep(args):
         any_capped |= n_capped > 0
         solved = [row for row, capped in results if row.feasible and row.crb_objective != "" and not capped]
         if solved:
-            runtimes = np.array([g.iter_seconds_total for g in solved], dtype=float)
-            objectives = np.array([g.crb_objective for g in solved], dtype=float)
-            aggregates.append(ResultRow(
-                "mean", "", n_tx, n_users, True, "", float(objectives.mean()),
-                float(np.mean([g.iterations for g in solved])),
-                float(np.mean([g.setup_seconds for g in solved])),
-                float(runtimes.mean()), "", "",
-            ))
-            aggregates.append(ResultRow(
-                "median", "", n_tx, n_users, True, "", float(np.median(objectives)),
-                float(np.median([g.iterations for g in solved])),
-                float(np.median([g.setup_seconds for g in solved])),
-                float(np.median(runtimes)), "", "",
-            ))
+            for name, stat in (("mean", np.mean), ("median", np.median)):
+                objective, iterations, setup, runtime = (
+                    float(stat([getattr(g, col) for g in solved]))
+                    for col in ("crb_objective", "iterations", "setup_seconds", "iter_seconds_total")
+                )
+                aggregates.append(ResultRow(
+                    name, "", n_tx, n_users, True, "", objective, iterations, setup, runtime, "", "",
+                ))
         print(f"{param}={value}: {len(solved)}/{len(results)} trials solved, "
               f"{n_capped} stopped at iteration_cap", file=sys.stderr)
 

@@ -46,8 +46,9 @@ def p_low_from_gram(gram, thresholds, noise):
 
     Returns (lambdas, iterations, residual): iterations counts the steps taken
     from lambda = 0, and residual = max_k |T_k - lambda_k| / T_k at the
-    returned point, which is at most NEWTON_TOL.  Raises FixedPointDiverged
-    when MAX_NEWTON_STEPS steps do not get there.
+    returned point: at most NEWTON_TOL or, when strongly correlated users leave
+    a rounding floor above it, the lowest of MAX_NEWTON_STEPS steps if that is
+    at most cond(G) * eps.  Raises FixedPointDiverged otherwise.
 
     Each step solves (I - J) delta = T(lambda) - lambda.  T is concave and
     monotone, so a Newton point with every entry positive satisfies
@@ -63,6 +64,7 @@ def p_low_from_gram(gram, thresholds, noise):
     rho = 1.0 + 1.0 / thresholds
     eye = np.eye(thresholds.size)
     lam = np.zeros(thresholds.size)
+    best = (np.inf, lam, 0)
     for iterations in range(MAX_NEWTON_STEPS + 1):
         # A = (I + G D)^-1 G without inverting G, which may be near singular
         a = np.linalg.solve(eye + gram * (lam / noise), gram)
@@ -71,13 +73,20 @@ def p_low_from_gram(gram, thresholds, noise):
         residual = float(np.max(np.abs(target - lam) / target))
         if residual <= NEWTON_TOL:
             return lam, iterations, residual
+        if residual < best[0]:
+            best = (residual, lam, iterations)
         jac = np.abs(a) ** 2 / (rho * q * q)[:, None]
         new = lam + np.linalg.solve(eye - jac, target - lam)
         if not np.all(new > 0.0):
             new = (1.0 + thresholds) * target - thresholds * lam
         lam = new
+    residual, lam, iterations = best
+    eigs = np.linalg.eigvalsh(gram)
+    floor = eigs[-1] / eigs[0] * np.finfo(float).eps if eigs[0] > 0.0 else 0.0
+    if residual <= floor:
+        return lam, iterations, residual
     raise FixedPointDiverged(
-        f"no convergence in {MAX_NEWTON_STEPS} iterations (residual {residual:.2e})"
+        f"no convergence in {MAX_NEWTON_STEPS} iterations (residual {residual:.2e}, floor {floor:.2e})"
     )
 
 

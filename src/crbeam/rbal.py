@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import p_low_from_gram
 # monotone_scalar_root is unused here; perfbench's tracer wraps it by this name
 from .linalg import monotone_scalar_root, positive_cubic_root  # noqa: F401
 
@@ -42,6 +41,10 @@ class SolverConfig:
             raise ValueError("tau must be positive")
         if self.delta <= 0 or self.tol_violation <= 0:
             raise ValueError("delta and tol_violation must be positive")
+        for name in ("max_iterations", "log_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass
@@ -154,13 +157,9 @@ def default_stepsize(instance):
     return 0.9 / np.sqrt(fro_sq)
 
 
-def initial_state(instance, p_low=None):
+def initial_state(instance, p_low):
     """Isotropic interior start: X_k = (p0 / K^2) I with p0 = min(P_T, 2 p_low)."""
     k = instance.n_users
-    if p_low is None:
-        thresholds = 1.0 / (instance.rho - 1.0)
-        lam, _, _ = p_low_from_gram(instance.gram, thresholds, instance.noise_power)
-        p_low = float(np.sum(lam))
     p0 = min(instance.power_budget, 2.0 * p_low)
     x = (p0 / k**2) * np.broadcast_to(np.eye(k, dtype=complex), (k, k, k))
     y = x.sum(axis=0)

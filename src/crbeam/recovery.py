@@ -82,8 +82,7 @@ def extract_rank_one(x_star, instance, channel):
     # per-user signal weights t_k = q_k^H X_k q_k = tr(Q_k X_k)
     t = np.einsum("ik,kij,jk->k", ht.conj(), x_star, ht).real
     traces = np.einsum("kii->k", x_star).real
-    q_traces = np.einsum("ik,ik->k", ht.conj(), ht).real
-    weak = t <= 1e-12 * traces * q_traces
+    weak = t <= 1e-12 * traces * instance.channel_norms_sq
     if np.any(weak):
         raise ExtractionDegenerate(f"tr(Q_k X_k) vanished for users {np.nonzero(weak)[0].tolist()}")
 

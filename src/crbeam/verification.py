@@ -13,7 +13,6 @@ import numpy as np
 
 from .linalg import null_space_basis
 from .rbal import SolverState, prox_x, prox_y, prox_z
-from .scenario import evaluate_sinr
 
 
 def _vec(m):
@@ -262,7 +261,11 @@ def kkt_residuals(sol, scenario, channel):
         )
     theta_psd = min(theta_psd, np.linalg.eigvalsh(base)[0] / scale)
 
-    sinr = evaluate_sinr(h, w, sol.sensing_cov, scenario.noise_power)
+    # SINRs from hw and h_k^H S h_k, apart from scenario.evaluate_sinr (sol.sinr's source)
+    gains = np.abs(hw) ** 2
+    signal = gains.diagonal()
+    sensing = np.einsum("ik,ij,jk->k", h.conj(), sol.sensing_cov, h).real
+    sinr = signal / (gains.sum(axis=1) - signal + sensing + scenario.noise_power)
     slack_rel = sinr / scenario.sinr_thresholds - 1.0
     power = float(np.trace(full).real)
 

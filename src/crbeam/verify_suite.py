@@ -7,6 +7,7 @@ tier adds larger dimensions and more oracle instances.
 
 import numpy as np
 
+from .feasibility import compute_p_low
 from .pipeline import solve_scenario
 from .rbal import default_stepsize, initial_state, iterate
 from .reduction import build_reduced, precompute_dual
@@ -48,7 +49,7 @@ def trajectory_gap(n_users, iterations, seed=5):
     dense = build_dense_system(instance, delta)
     tau = default_stepsize(instance)
 
-    struct = ref = initial_state(instance)
+    struct = ref = initial_state(instance, compute_p_low(scenario, channel).p_low)
     for _ in range(iterations):
         struct = iterate(struct, instance, dual, tau)
         ref = reference_iterate(ref, instance, dense, tau)

@@ -189,14 +189,14 @@ def test_criterion_07_antenna_count_independence():
         best_setup = np.inf
         for _ in range(3):
             s0 = time.perf_counter()
-            compute_p_low(scenario, channel)
+            p_low = compute_p_low(scenario, channel).p_low
             instance = build_reduced(scenario, channel)
             dual = precompute_dual(instance, 1e-4)
             best_setup = min(best_setup, time.perf_counter() - s0)
         setup[n_tx] = best_setup
 
         tau = default_stepsize(instance)
-        state = initial_state(instance)
+        state = initial_state(instance, p_low)
         for _ in range(50):  # warm-up
             state = iterate(state, instance, dual, tau)
         s1 = time.perf_counter()

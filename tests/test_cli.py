@@ -65,6 +65,7 @@ class TestConfig:
         ("n_tx", "64"), ("n_users", 0), ("n_tx", 8.5), ("tau", -1), ("trials", True),
         ("p_t_dbm", None), ("gamma_db", "abc"), ("gamma_db", [10, "x"]), ("gamma_db", {"a": 1}),
         ("sigma2_dbm", "5"), ("p_t_dbm", 1e400),
+        ("max_iters", -1), ("max_iters", 2.5), ("max_iters", True),
     ])
     def test_malformed_field_is_config_error(self, tmp_path, capsys, name, value):
         p = write_config(tmp_path / "c.json", **{name: value})

@@ -125,6 +125,23 @@ class TestNewton:
         sinr = evaluate_sinr(h, w, np.zeros((sc.n_tx, sc.n_tx)), sc.noise_power)
         assert np.max(np.abs(sinr / sc.sinr_thresholds - 1.0)) < 1e-8
 
+    @pytest.mark.parametrize("eps", [3.2e-3, 5.6e-4, 1e-4])
+    def test_rounding_floor_of_correlated_users(self, eps):
+        """h_3 = h_1 + eps ||h_1|| g (cond(H) ~7.6e2, 4.3e3, 2.4e4): rounding
+        stalls Newton above NEWTON_TOL, so the probe returns its best iterate,
+        whose residual is within cond(G) * eps_mach."""
+        sc = make_scenario(12, 3)
+        h = generate_channel(sc, 1)
+        rng = np.random.default_rng(123)
+        g = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        h[:, 2] = h[:, 0] + eps * np.linalg.norm(h[:, 0]) * g / np.linalg.norm(g)
+        gram_eigs = np.linalg.eigvalsh(h.conj().T @ h)
+        floor = gram_eigs[-1] / gram_eigs[0] * np.finfo(float).eps
+        rep = compute_p_low(sc, h)
+        assert feasibility.NEWTON_TOL < rep.residual <= floor
+        _, powers = dual_minpower_beamformers(sc, h, rep.lambdas)
+        assert float(powers.sum()) == pytest.approx(rep.p_low, rel=10 * floor)
+
     def test_iteration_cap_raises(self, monkeypatch):
         gram = random_gram(8, 3, 0)
         monkeypatch.setattr(feasibility, "MAX_NEWTON_STEPS", 1)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crbeam import rbal
+from crbeam.feasibility import compute_p_low
 from crbeam.linalg import monotone_scalar_root
 from crbeam.rbal import (
     SolverConfig,
@@ -153,11 +154,12 @@ class TestIterate:
         scenario, channel = constrained_instance(12, 3, seed=seed, factor=3.0)
         inst = build_reduced(scenario, channel)
         dual = precompute_dual(inst, 1e-4)
+        self.p_low = compute_p_low(scenario, channel).p_low
         return inst, dual, default_stepsize(inst)
 
     def test_state_invariants_along_trajectory(self):
         inst, dual, tau = self.make()
-        state = initial_state(inst)
+        state = initial_state(inst, self.p_low)
         p_t = inst.power_budget
         for _ in range(300):
             state = iterate(state, inst, dual, tau)
@@ -179,7 +181,7 @@ class TestIterate:
 
     def test_residuals_small_at_feasible_point_with_zero_duals(self):
         inst, dual, tau = self.make()
-        state = initial_state(inst)
+        state = initial_state(inst, self.p_low)
         before = constraint_violation(state, inst)
         nxt = iterate(state, inst, dual, tau)
         # duals move proportionally to the (finite) residuals; no blow-up
@@ -193,7 +195,8 @@ class TestSolve:
         h = np.array([[1.0], [1.0], [0.0], [0.0]], dtype=complex)
         inst = build_reduced(sc, h)
         dual = precompute_dual(inst, 1e-4)
-        state, report = solve(inst, dual, SolverConfig(), initial_state(inst))
+        p_low = compute_p_low(sc, h).p_low
+        state, report = solve(inst, dual, SolverConfig(), initial_state(inst, p_low))
         assert report.status == "converged"
         assert report.final_violation < 1e-9
         assert state.x[0, 0, 0].real == pytest.approx(5.0, abs=1e-6)
@@ -211,7 +214,8 @@ class TestSolve:
         scenario, channel, _ = solved_k3
         inst = build_reduced(scenario, channel)
         dual = precompute_dual(inst, 1e-4)
-        state, report = solve(inst, dual, SolverConfig(), initial_state(inst))
+        p_low = compute_p_low(scenario, channel).p_low
+        state, report = solve(inst, dual, SolverConfig(), initial_state(inst, p_low))
         state2, report2 = solve(inst, dual, SolverConfig(), init=state)
         assert report2.status == "converged"
         assert report2.iterations == state.iteration  # no extra sweeps
@@ -223,7 +227,8 @@ class TestSolve:
         inst = build_reduced(scenario, channel)
         dual = precompute_dual(inst, 1e-4)
         config = SolverConfig(log_every=1)
-        _, report = solve(inst, dual, config, initial_state(inst))
+        p_low = compute_p_low(scenario, channel).p_low
+        _, report = solve(inst, dual, config, initial_state(inst, p_low))
         violations = np.array([v for _, v, _ in report.trace_history])
         window = 50
         n_windows = violations.size // window
@@ -235,7 +240,8 @@ class TestSolve:
         scenario, channel = constrained_instance(12, 3, seed=4, factor=3.0)
         inst = build_reduced(scenario, channel)
         dual = precompute_dual(inst, 1e-4)
-        _, report = solve(inst, dual, SolverConfig(max_iterations=5), initial_state(inst))
+        p_low = compute_p_low(scenario, channel).p_low
+        _, report = solve(inst, dual, SolverConfig(max_iterations=5), initial_state(inst, p_low))
         assert report.status == "iteration_cap"
         assert report.iterations == 5
 
@@ -259,12 +265,20 @@ class TestSolve:
     def test_objective_uses_split_variables(self, solved_k3):
         scenario, channel, result = solved_k3
         inst = build_reduced(scenario, channel)
-        state = initial_state(inst)
+        state = initial_state(inst, compute_p_low(scenario, channel).p_low)
         k = inst.n_users
         expect = k / state.y[0, 0].real + (inst.n_tx - k) ** 2 / (
             inst.power_budget - np.trace(state.z).real
         )
         assert objective_value(state, inst) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["max_iterations", "log_every"])
+@pytest.mark.parametrize("value", [-1, 2.5, True, "3", None])
+def test_config_validation_iteration_counts(name, value):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: value})
+    assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
 
 
 def test_config_validation():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crbeam.feasibility import compute_p_low
 from crbeam.linalg import null_space_basis
 from crbeam.rbal import SolverConfig, initial_state, solve
 from crbeam.recovery import (
@@ -31,7 +32,8 @@ def converged(n_tx, k, seed):
     scenario, channel = constrained_instance(n_tx, k, seed=seed, factor=3.0)
     inst = build_reduced(scenario, channel)
     dual = precompute_dual(inst, 1e-4)
-    state, report = solve(inst, dual, SolverConfig(), initial_state(inst))
+    p_low = compute_p_low(scenario, channel).p_low
+    state, report = solve(inst, dual, SolverConfig(), initial_state(inst, p_low))
     assert report.status == "converged"
     return scenario, channel, inst, state
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crbeam.feasibility import compute_p_low
 from crbeam.linalg import null_space_basis
 from crbeam.pipeline import solve_scenario
 from crbeam.rbal import SolverConfig, initial_state, solve
@@ -231,6 +232,7 @@ def test_solver_invariant_to_basis_choice(solved_k3):
         n_users=inst.n_users,
     )
     dual = precompute_dual(rotated, 1e-4)
-    _, report = solve(rotated, dual, SolverConfig(), initial_state(rotated))
+    p_low = compute_p_low(scenario, channel).p_low
+    _, report = solve(rotated, dual, SolverConfig(), initial_state(rotated, p_low))
     assert report.status == "converged"
     assert report.objective == pytest.approx(result.solve_report.objective, rel=1e-8)

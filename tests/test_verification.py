@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import crbeam.recovery
+import crbeam.scenario
+import crbeam.verification
 from crbeam import rbal, verify_suite
 from crbeam.pipeline import solve_scenario
 from crbeam.rbal import prox_z
@@ -149,6 +152,26 @@ class TestKktResiduals:
         kkt = kkt_residuals(perturbed, scenario, channel)
         assert kkt["stationarity"] > 1e-2
 
+    def test_primal_sinr_independent_of_evaluate_sinr(self, monkeypatch):
+        """The oracle recomputes the SINRs itself: halving w breaks them even
+        when every binding of evaluate_sinr claims twice the targets."""
+        scenario, channel = constrained_instance(8, 2, seed=3, factor=2.5)
+        sol = solve_scenario(scenario, channel).solution
+        halved = BeamformingSolution(
+            w=[0.5 * w for w in sol.w],
+            sensing_cov=sol.sensing_cov,
+            sensing_factor=None,
+            objective=0.0,
+            sinr=sol.sinr,
+        )
+
+        def claims_twice_the_targets(channel, beamformers, sensing_cov, noise):
+            return 2.0 * scenario.sinr_thresholds
+
+        for module in (crbeam.scenario, crbeam.recovery, crbeam.verification):
+            monkeypatch.setattr(module, "evaluate_sinr", claims_twice_the_targets, raising=False)
+        assert kkt_residuals(halved, scenario, channel)["primal_sinr"] > 0.1
+
 
 def test_optimality_spot_check():
     """No feasible perturbation improves on the converged objective.
@@ -165,7 +188,8 @@ def test_optimality_spot_check():
     scenario, channel = constrained_instance(10, 3, seed=6, factor=3.0)
     inst = build_reduced(scenario, channel)
     dual = precompute_dual(inst, 1e-4)
-    state, report = solve(inst, dual, SolverConfig(), initial_state(inst))
+    p_low = compute_p_low(scenario, channel).p_low
+    state, report = solve(inst, dual, SolverConfig(), initial_state(inst, p_low))
     assert report.status == "converged"
 
     def reduced_objective(x_stack):
