@@ -16,8 +16,7 @@ import numpy as np
 from .feasibility import compute_p_low
 from .pipeline import solve_scenario
 from .rbal import SolverConfig
-from .recovery import verify_solution
-from .scenario import Scenario, dbm_to_linear, generate_channel, linear_to_dbm
+from .scenario import Scenario, dbm_to_linear, evaluate_crb_objective, generate_channel, linear_to_dbm
 from .verification import kkt_residuals
 from .verify_suite import build_checks
 
@@ -62,6 +61,7 @@ class ResultRow:
 
 
 RESULT_COLUMNS = [f.name for f in fields(ResultRow)]
+ISOTROPIC = "closed-form (isotropic)"  # the status of an answer the isotropic screen settled
 
 
 def _require_int(name, value, low):
@@ -144,92 +144,17 @@ def _complex_matrix_json(m):
     return [[_pair(z) for z in row] for row in np.atleast_2d(m)]
 
 
-def solution_json(result, scenario, seed):
-    sol = result.solution
-    doc = {
-        "schema_version": 1,
-        "scenario": {
-            "n_tx": scenario.n_tx,
-            "n_users": scenario.n_users,
-            "power_budget_mw": scenario.power_budget,
-            "sinr_thresholds": scenario.sinr_thresholds.tolist(),
-            "noise_power_mw": scenario.noise_power,
-        },
-        "seed": seed,
-        "feasible": result.feasibility.feasible,
-        "p_low_mw": result.feasibility.p_low,
-        "degenerate": result.degenerate,
-    }
-    if sol is not None:
-        doc.update(
-            {
-                "objective": sol.objective,
-                "sinr": sol.sinr.tolist(),
-                "beamformers": [[_pair(z) for z in w] for w in sol.w],
-                "sensing_factor": _complex_matrix_json(sol.sensing_factor),
-                "iterations": result.solve_report.iterations if result.solve_report else 0,
-                "final_violation": result.solve_report.final_violation if result.solve_report else 0.0,
-            }
-        )
-    return doc
+def result_row(result, scenario, trial="", seed=""):
+    """(ResultRow, status) of one PipelineResult: the one place that reads it.
 
-
-def cmd_solve(args):
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.base_seed
-    scenario = cfg.scenario
-    channel = generate_channel(scenario, seed)
-    result = solve_scenario(scenario, channel, cfg.solver)
-
-    if not result.feasibility.feasible:
-        print(
-            f"infeasible: P_T = {scenario.power_budget:.6g} mW below minimum "
-            f"feasible power p_low = {result.feasibility.p_low:.6g} mW "
-            f"({linear_to_dbm(result.feasibility.p_low):.3f} dBm)"
-        )
-        return 0 if args.allow_infeasible else 2
-
-    sol = result.solution
-    status = "closed-form (isotropic)" if result.degenerate else result.solve_report.status
-    iters = 0 if result.degenerate else result.solve_report.iterations
-    print(f"status: {status}   iterations: {iters}")
-    print(f"objective tr(R^-1): {sol.objective:.9g}")
-    print(f"min SINR margin: {np.min(sol.sinr / scenario.sinr_thresholds - 1.0):+.3e}")
-
-    diag = verify_solution(sol, scenario, channel, reduced_objective=result.reduced_objective)
-    for key, value in diag.items():
-        print(f"  {key}: {value:+.3e}")
-    if args.full_check:
-        kkt = kkt_residuals(sol, scenario, channel)
-        for key in ("stationarity", "theta_psd_margin", "complementarity", "primal_sinr", "primal_power"):
-            print(f"  kkt_{key}: {kkt[key]:+.3e}")
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(solution_json(result, scenario, seed), fh, indent=1)
-        print(f"solution written to {args.out}")
-    return 3 if status == "iteration_cap" else 0
-
-
-def run_trial(cfg, scenario, trial):
-    """One seeded trial; returns (ResultRow, capped).  Failures are recorded in-row;
-    capped is True when the solver stopped at max_iters before reaching tol."""
-    seed = cfg.base_seed ^ trial
+    status is "infeasible", ISOTROPIC or the solver's "converged" /
+    "iteration_cap"; an isotropic answer ran no sweep, so its iterations and
+    final violation read 0."""
     n_tx, n_users = scenario.n_tx, scenario.n_users
-    channel = generate_channel(scenario, seed)
-    try:
-        result = solve_scenario(scenario, channel, cfg.solver)
-    except Exception as exc:  # record and continue the sweep
-        print(f"trial {trial} ({n_tx}x{n_users}, seed {seed}) failed: {exc}", file=sys.stderr)
-        return ResultRow(trial, seed, n_tx, n_users, False, False, "", "", "", "", "", ""), False
     if not result.feasibility.feasible:
-        return ResultRow(
-            trial, seed, n_tx, n_users, False, False, "", 0,
-            result.setup_seconds, 0.0, "", "",
-        ), False
-    sol = result.solution
-    margin = float(np.min(sol.sinr / scenario.sinr_thresholds - 1.0))
-    report = result.solve_report
+        row = ResultRow(trial, seed, n_tx, n_users, False, False, "", 0, result.setup_seconds, 0.0, "", "")
+        return row, "infeasible"
+    sol, report = result.solution, result.solve_report
     row = ResultRow(
         trial=trial,
         seed=seed,
@@ -242,9 +167,97 @@ def run_trial(cfg, scenario, trial):
         setup_seconds=result.setup_seconds,
         iter_seconds_total=result.iter_seconds,
         final_violation=0.0 if result.degenerate else report.final_violation,
-        min_sinr_margin=margin,
+        min_sinr_margin=float(np.min(sol.sinr / scenario.sinr_thresholds - 1.0)),
     )
-    return row, not result.degenerate and report.status == "iteration_cap"
+    return row, ISOTROPIC if result.degenerate else report.status
+
+
+def solve_or_report(scenario, channel, solver, where=""):
+    """solve_scenario's result, or None after one `solve failed:` line on stderr."""
+    try:
+        return solve_scenario(scenario, channel, solver)
+    except Exception as exc:  # a solve that raises is reported, not a config error
+        print(f"solve failed: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
+        return None
+
+
+def solution_json(result, row, scenario):
+    doc = {
+        "schema_version": 1,
+        "scenario": {
+            "n_tx": scenario.n_tx,
+            "n_users": scenario.n_users,
+            "power_budget_mw": scenario.power_budget,
+            "sinr_thresholds": scenario.sinr_thresholds.tolist(),
+            "noise_power_mw": scenario.noise_power,
+        },
+        "seed": row.seed,
+        "feasible": row.feasible,
+        "p_low_mw": result.feasibility.p_low,
+        "degenerate": row.degenerate,
+    }
+    if row.feasible:
+        sol = result.solution
+        doc.update(
+            {
+                "objective": row.crb_objective,
+                "sinr": sol.sinr.tolist(),
+                "beamformers": [[_pair(z) for z in w] for w in sol.w],
+                "sensing_factor": _complex_matrix_json(sol.sensing_factor),
+                "iterations": row.iterations,
+                "final_violation": row.final_violation,
+            }
+        )
+    return doc
+
+
+def cmd_solve(args):
+    cfg = load_config(args.config)
+    seed = args.seed if args.seed is not None else cfg.base_seed
+    scenario = cfg.scenario
+    channel = generate_channel(scenario, seed)
+    result = solve_or_report(scenario, channel, cfg.solver)
+    if result is None:
+        return 4
+    row, status = result_row(result, scenario, seed=seed)
+
+    if status == "infeasible":
+        print(
+            f"infeasible: P_T = {scenario.power_budget:.6g} mW below minimum "
+            f"feasible power p_low = {result.feasibility.p_low:.6g} mW "
+            f"({linear_to_dbm(result.feasibility.p_low):.3f} dBm)"
+        )
+    else:
+        print(f"status: {status}   iterations: {row.iterations}")
+        print(f"objective tr(R^-1): {row.crb_objective:.9g}")
+        print(f"min SINR margin: {row.min_sinr_margin:+.3e}")
+    if args.full_check and row.feasible:
+        sol = result.solution
+        kkt = kkt_residuals(sol, scenario, channel)
+        for key in ("stationarity", "theta_psd_margin", "complementarity", "primal_sinr", "primal_power"):
+            print(f"  kkt_{key}: {kkt[key]:+.3e}")
+        full_objective = evaluate_crb_objective(sol.full_cov)
+        print(f"  objective_gap: {abs(full_objective - result.reduced_objective) / full_objective:+.3e}")
+
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(solution_json(result, row, scenario), fh, indent=1)
+        print(f"solution written to {args.out}")
+    if status == "infeasible":
+        return 0 if args.allow_infeasible else 2
+    return 3 if status == "iteration_cap" else 0
+
+
+def run_trial(cfg, scenario, trial):
+    """One seeded trial; returns (ResultRow, status) with result_row's statuses
+    plus "failed" for a solve that raised, whose row is empty past n_users."""
+    seed = cfg.base_seed ^ trial
+    n_tx, n_users = scenario.n_tx, scenario.n_users
+    channel = generate_channel(scenario, seed)
+    result = solve_or_report(scenario, channel, cfg.solver, f" (trial {trial}, {n_tx}x{n_users}, seed {seed})")
+    if result is None:
+        return ResultRow(trial, seed, n_tx, n_users, *[""] * 8), "failed"
+    return result_row(result, scenario, trial, seed)
 
 
 def cmd_sweep(args):
@@ -252,16 +265,14 @@ def cmd_sweep(args):
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a 'sweep' section in the config")
     param = cfg.sweep["parameter"]
-    rows = []
-    aggregates = []
-    any_capped = False
+    rows, statuses, aggregates = [], [], []
     for value, scenario in cfg.sweep_scenarios.items():
         n_tx, n_users = scenario.n_tx, scenario.n_users
         results = [run_trial(cfg, scenario, t) for t in range(cfg.trials)]
         rows.extend(row for row, _ in results)
-        n_capped = sum(capped for _, capped in results)
-        any_capped |= n_capped > 0
-        solved = [row for row, capped in results if row.feasible and row.crb_objective != "" and not capped]
+        point = [status for _, status in results]
+        statuses.extend(point)
+        solved = [row for row, status in results if status in ("converged", ISOTROPIC)]
         if solved:
             for name, stat in (("mean", np.mean), ("median", np.median)):
                 objective, iterations, setup, runtime = (
@@ -272,7 +283,8 @@ def cmd_sweep(args):
                     name, "", n_tx, n_users, True, "", objective, iterations, setup, runtime, "", "",
                 ))
         print(f"{param}={value}: {len(solved)}/{len(results)} trials solved, "
-              f"{n_capped} stopped at iteration_cap", file=sys.stderr)
+              f"{point.count('iteration_cap')} stopped at iteration_cap, {point.count('failed')} failed",
+              file=sys.stderr)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -280,7 +292,7 @@ def cmd_sweep(args):
         for row in rows + aggregates:
             writer.writerow([getattr(row, col) for col in RESULT_COLUMNS])
     print(f"wrote {len(rows)} trial rows + {len(aggregates)} aggregate rows to {args.out}")
-    return 3 if any_capped else 0
+    return 4 if "failed" in statuses else 3 if "iteration_cap" in statuses else 0
 
 
 def cmd_feasibility(args):

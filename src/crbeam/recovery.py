@@ -11,13 +11,16 @@ and the sensing covariance is the remainder R - W W^H.  One builder,
 `range_solution`, assembles the answers of both regimes: the objective from
 Y alone, the sensing covariance in O(Nt^2 K), its factor by one dense `eigh`.
 An answer holds those two Nt x Nt arrays; `full_cov` is recomputed on access.
+This module only builds answers: the checks of an answer are the independent
+oracles in `verification`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import null_space_basis
+# null_space_basis is unused here; perfbench's tracer wraps it by this name
+from .linalg import null_space_basis  # noqa: F401
 from .scenario import evaluate_sinr
 
 NEG_TOL = 1e-8  # sensing_factor: an eigenvalue below -NEG_TOL * trace is not PSD
@@ -35,7 +38,7 @@ class NotPSD(Exception):
 class BeamformingSolution:
     w: list                       # K beamforming vectors, each (Nt,)
     sensing_cov: np.ndarray       # Nt x Nt PSD covariance of the sensing stream
-    sensing_factor: np.ndarray | None
+    sensing_factor: np.ndarray    # Nt x r, F F^H = sensing_cov
     objective: float              # tr(full_cov^-1)
     sinr: np.ndarray
 
@@ -110,39 +113,3 @@ def sensing_factor(cov):
     factor *= np.sqrt(eigs[first:])
     return factor
 
-
-def verify_solution(sol, scenario, channel, reduced_objective):
-    """Diagnostic residuals of a solution against the original constraints.
-
-    Returns a dict of relative residuals/margins, including the gap between
-    `reduced_objective` and the full-space trace-inverse objective; purely
-    informational, never raises.
-    """
-    w = np.column_stack(sol.w)
-    sensing, full = sol.sensing_cov, sol.full_cov  # full_cov is rebuilt per access
-    f = sol.sensing_factor
-    factor_gap = 0.0 if f is None else float(np.linalg.norm(f @ f.conj().T - sensing))
-
-    power = float(np.trace(full).real)
-    sinr = evaluate_sinr(channel, w, sensing, scenario.noise_power)
-    sensing_eigs = np.linalg.eigvalsh(sensing)
-    sensing_tr = float(np.trace(sensing).real)
-
-    n_tx, k = channel.shape
-    theta = (scenario.power_budget - float(np.sum(np.abs(w) ** 2))) / (n_tx - k)
-    u_c = null_space_basis(channel)
-    projector_gap = np.linalg.norm(sensing - theta * (u_c @ u_c.conj().T)) / max(
-        abs(theta) * np.sqrt(n_tx - k), 1e-300
-    )
-    cross_scale = np.linalg.norm(channel, 2) * max(np.abs(sensing_eigs[-1]), 1e-300)
-
-    full_obj = float(np.sum(1.0 / np.linalg.eigvalsh(full)))
-    return {
-        "sinr_margin": float(np.min(sinr / scenario.sinr_thresholds - 1.0)),
-        "power_residual": abs(power - scenario.power_budget) / scenario.power_budget,
-        "sensing_psd_margin": float(sensing_eigs[0] / max(sensing_tr / n_tx, 1e-300)),
-        "range_leak": float(np.max(np.abs(channel.conj().T @ sensing)) / cross_scale),
-        "projector_gap": float(projector_gap),
-        "cov_residual": factor_gap / float(np.linalg.norm(full)),  # F F^H vs sensing_cov
-        "objective_gap": abs(full_obj - reduced_objective) / abs(full_obj),
-    }

@@ -309,7 +309,7 @@ def test_criterion_10_kkt_certification():
     perturbed = BeamformingSolution(
         w=sol.w,
         sensing_cov=half,
-        sensing_factor=None,
+        sensing_factor=np.sqrt(0.5) * sol.sensing_factor,
         objective=0.0,
         sinr=sol.sinr,
     )

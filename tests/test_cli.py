@@ -4,7 +4,27 @@ import json
 import numpy as np
 import pytest
 
+import crbeam.cli
+import crbeam.scenario
+import crbeam.verification
 from crbeam.cli import ConfigError, RESULT_COLUMNS, load_config, main
+from crbeam.recovery import NotPSD
+
+KKT_ROWS = ["kkt_stationarity", "kkt_theta_psd_margin", "kkt_complementarity", "kkt_primal_sinr", "kkt_primal_power"]
+
+
+def solve_raises(monkeypatch, fail_calls=None):
+    """Make the CLI's solve_scenario raise NotPSD on the given call numbers
+    (all calls when None) and run the real solve on the others."""
+    real, calls = crbeam.cli.solve_scenario, []
+
+    def fake(*args):
+        calls.append(None)
+        if fail_calls is None or len(calls) in fail_calls:
+            raise NotPSD("eigenvalue -1.000e-03 below -1e-08 * trace")
+        return real(*args)
+
+    monkeypatch.setattr(crbeam.cli, "solve_scenario", fake)
 
 
 def write_config(path, **overrides):
@@ -143,6 +163,16 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(cfg), "--seed", "1", "--allow-infeasible"])
         assert code == 0
 
+    def test_allow_infeasible_writes_document(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", p_t_dbm=-30.0)
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--config", str(cfg), "--seed", "1", "--allow-infeasible", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["feasible"] is False
+        assert doc["p_low_mw"] > doc["scenario"]["power_budget_mw"]
+        assert not {"objective", "sinr", "beamformers", "sensing_factor", "iterations"} & set(doc)
+
     def test_degenerate_single_user(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", n_tx=4, n_users=1, p_t_dbm=20.0)
         out = tmp_path / "sol.json"
@@ -164,7 +194,37 @@ class TestSolveCommand:
         cfg = write_config(tmp_path / "c.json")
         code = main(["solve", "--config", str(cfg), "--seed", "3", "--full-check"])
         assert code == 0
-        assert "kkt_stationarity" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for key in KKT_ROWS + ["objective_gap"]:
+            assert f"  {key}: " in out
+
+    def test_default_report_runs_no_check(self, tmp_path, capsys, monkeypatch):
+        """Without --full-check, solve prints what the answer carries and
+        does no dense work after the solve."""
+        def dense_check(*args):
+            raise AssertionError("dense check ran without --full-check")
+
+        for module in (crbeam.cli, crbeam.verification):
+            monkeypatch.setattr(module, "kkt_residuals", dense_check)
+        for module in (crbeam.cli, crbeam.scenario):
+            monkeypatch.setattr(module, "evaluate_crb_objective", dense_check)
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["solve", "--config", str(cfg), "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].startswith("status: converged")
+        removed = ["sinr_margin", "power_residual", "sensing_psd_margin", "range_leak",
+                   "projector_gap", "cov_residual", "objective_gap", "kkt_"]
+        assert not [key for key in removed if key in out]
+
+    def test_solve_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        solve_raises(monkeypatch)
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "sol.json"
+        assert main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["solve failed: NotPSD: eigenvalue -1.000e-03 below -1e-08 * trace"]
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -215,6 +275,27 @@ class TestSweepCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == RESULT_COLUMNS
         assert [r[0] for r in rows[1:]] == ["0", "1"]  # no mean/median rows
+
+    def test_every_trial_failed(self, tmp_path, capsys, monkeypatch):
+        solve_raises(monkeypatch)
+        cfg = self.sweep_config(tmp_path)
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("solve failed: NotPSD: ") for line in err) == 4
+        assert "Nt=8: 0/2 trials solved, 0 stopped at iteration_cap, 2 failed" in err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4  # no mean/median rows
+        assert all(r["feasible"] == "" and r["crb_objective"] == "" for r in rows)
+
+    def test_failure_takes_precedence_over_cap(self, tmp_path, capsys, monkeypatch):
+        solve_raises(monkeypatch, fail_calls={1})
+        cfg = write_config(
+            tmp_path / "sweep.json", max_iters=5, sweep={"parameter": "Nt", "values": [8]}
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 4
+        assert "Nt=8: 0/2 trials solved, 1 stopped at iteration_cap, 1 failed" in capsys.readouterr().err
 
     def test_sweep_requires_sweep_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")

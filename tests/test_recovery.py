@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +7,15 @@ from crbeam.feasibility import compute_p_low
 from crbeam.linalg import null_space_basis
 from crbeam.rbal import SolverConfig, initial_state, solve
 from crbeam.recovery import (
-    BeamformingSolution,
     ExtractionDegenerate,
     NotPSD,
     extract_rank_one,
     range_solution,
     sensing_factor,
-    verify_solution,
 )
 from crbeam.pipeline import solve_scenario
 from crbeam.reduction import build_reduced, check_degenerate, precompute_dual
-from crbeam.scenario import Scenario, evaluate_crb_objective, evaluate_sinr, generate_channel
+from crbeam.scenario import Scenario, evaluate_crb_objective, generate_channel
 from conftest import constrained_instance, make_scenario
 
 
@@ -220,39 +217,3 @@ class TestSensingFactor:
         f = sensing_factor(np.diag([1.0, -1e-12]))
         assert f.shape[1] == 1
 
-
-class TestVerifySolution:
-    def test_converged_run_clean(self, converged_k3):
-        scenario, channel, inst, state = converged_k3
-        sol = extract_rank_one(state.x, inst, channel=channel)
-        from crbeam.rbal import objective_value
-
-        diag = verify_solution(sol, scenario, channel, reduced_objective=objective_value(state, inst))
-        assert diag["sinr_margin"] >= -1e-8
-        assert diag["power_residual"] <= 1e-8
-        assert diag["sensing_psd_margin"] >= -1e-8
-        assert diag["range_leak"] <= 1e-8
-        assert diag["projector_gap"] <= 1e-6
-        assert diag["objective_gap"] <= 1e-6
-        assert diag["cov_residual"] <= 1e-8
-
-    def test_flags_weak_beamformers(self, converged_k3):
-        scenario, channel, inst, state = converged_k3
-        sol = extract_rank_one(state.x, inst, channel=channel)
-        weak_w = [0.5 * w for w in sol.w]
-        weak = BeamformingSolution(
-            w=weak_w,
-            sensing_cov=sol.sensing_cov,
-            sensing_factor=None,
-            objective=0.0,
-            sinr=evaluate_sinr(channel, np.column_stack(weak_w), sol.sensing_cov, scenario.noise_power),
-        )
-        diag = verify_solution(weak, scenario, channel, reduced_objective=sol.objective)
-        assert diag["sinr_margin"] < -0.1
-
-    def test_flags_factor_mismatch(self, converged_k3):
-        scenario, channel, inst, state = converged_k3
-        sol = extract_rank_one(state.x, inst, channel=channel)
-        short = replace(sol, sensing_factor=sol.sensing_factor[:, 1:])  # one column lost
-        diag = verify_solution(short, scenario, channel, reduced_objective=sol.objective)
-        assert diag["cov_residual"] > 1e-3

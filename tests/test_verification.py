@@ -145,7 +145,7 @@ class TestKktResiduals:
         perturbed = BeamformingSolution(
             w=w,
             sensing_cov=half_sensing,
-            sensing_factor=None,
+            sensing_factor=np.sqrt(0.5) * sol.sensing_factor,
             objective=0.0,
             sinr=sol.sinr,
         )
@@ -160,7 +160,7 @@ class TestKktResiduals:
         halved = BeamformingSolution(
             w=[0.5 * w for w in sol.w],
             sensing_cov=sol.sensing_cov,
-            sensing_factor=None,
+            sensing_factor=sol.sensing_factor,
             objective=0.0,
             sinr=sol.sinr,
         )
