@@ -16,7 +16,9 @@ import numpy as np
 from .feasibility import compute_p_low
 from .pipeline import solve_scenario
 from .rbal import SolverConfig
-from .scenario import Scenario, dbm_to_linear, evaluate_crb_objective, generate_channel, linear_to_dbm
+from .scenario import (
+    Scenario, SingularCovariance, dbm_to_linear, evaluate_crb_objective, generate_channel, linear_to_dbm,
+)
 from .verification import kkt_residuals
 from .verify_suite import build_checks
 
@@ -236,8 +238,12 @@ def cmd_solve(args):
         kkt = kkt_residuals(sol, scenario, channel)
         for key in ("stationarity", "theta_psd_margin", "complementarity", "primal_sinr", "primal_power"):
             print(f"  kkt_{key}: {kkt[key]:+.3e}")
-        full_objective = evaluate_crb_objective(sol.full_cov)
-        print(f"  objective_gap: {abs(full_objective - result.reduced_objective) / full_objective:+.3e}")
+        try:
+            full_objective = evaluate_crb_objective(sol.full_cov)
+        except SingularCovariance as exc:  # theta = 0: the answer's objective is inf
+            print(f"  objective_gap: n/a, {exc}")
+        else:
+            print(f"  objective_gap: {abs(full_objective - result.reduced_objective) / full_objective:+.3e}")
 
     if args.out:
         with open(args.out, "w") as fh:

@@ -42,7 +42,7 @@ def solve_scenario(scenario, channel, config=None):
     if verdict.isotropic:
         # the screen's witness: total covariance (P_T / Nt) I, objective Nt^2 / P_T
         c = scenario.power_budget / scenario.n_tx
-        solution = range_solution(instance, channel, verdict.v, c * np.eye(scenario.n_users), c)
+        solution = range_solution(instance, verdict.v, c * np.eye(scenario.n_users), c)
         elapsed = time.perf_counter() - t0
         return PipelineResult(report, True, solution, None, solution.objective, elapsed, 0.0)
 
@@ -54,7 +54,7 @@ def solve_scenario(scenario, channel, config=None):
     state, solve_report = solve(instance, dual, config, init=init)
     iter_seconds = time.perf_counter() - t1
 
-    solution = extract_rank_one(state.x, instance, channel)
+    solution = extract_rank_one(state.x, instance)
     return PipelineResult(
         feasibility=report,
         degenerate=False,

@@ -5,14 +5,15 @@ K x K range block, theta the null-space level and P_null the projector onto
 the orthogonal complement of the channel range.  Converged blocks X_k give
 Y = sum_k X_k, theta = (P_T - sum tr X_k) / (Nt - K) and the beamformers
 
-    w_k = U X_k q_k / sqrt(q_k^H X_k q_k),   q_k = U^H h_k,
+    w_k = U v_k,   v_k = X_k q_k / sqrt(q_k^H X_k q_k),   q_k = U^H h_k,
 
-and the sensing covariance is the remainder R - W W^H.  One builder,
-`range_solution`, assembles the answers of both regimes: the objective from
-Y alone, the sensing covariance in O(Nt^2 K), its factor by one dense `eigh`.
-An answer holds those two Nt x Nt arrays; `full_cov` is recomputed on access.
-This module only builds answers: the checks of an answer are the independent
-oracles in `verification`.
+and the sensing covariance is the remainder R - W W^H = U M U^H + theta I
+with the K x K block M = Y - theta I - V V^H.  One builder, `range_solution`,
+assembles the answers of both regimes: the objective from Y, the SINRs in the
+range basis, the sensing covariance's factor by one dense `eigh`.  An answer
+keeps one Nt x Nt array, that factor; `sensing_cov` and `full_cov` are
+recomputed on access from U, M and theta.  This module only builds answers:
+the checks of an answer are the independent oracles in `verification`.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 from .linalg import null_space_basis  # noqa: F401
 from .scenario import evaluate_sinr
 
-NEG_TOL = 1e-8  # sensing_factor: an eigenvalue below -NEG_TOL * trace is not PSD
+NEG_TOL = 1e-8  # sensing_factor: an eigenvalue below -NEG_TOL * tr(R) is not PSD
 
 
 class ExtractionDegenerate(Exception):
@@ -37,10 +38,17 @@ class NotPSD(Exception):
 @dataclass
 class BeamformingSolution:
     w: list                       # K beamforming vectors, each (Nt,)
-    sensing_cov: np.ndarray       # Nt x Nt PSD covariance of the sensing stream
+    u_tilde: np.ndarray           # Nt x K orthonormal range basis U, shared with the instance
+    m: np.ndarray                 # K x K range block of sensing_cov - theta I
+    theta: float                  # null-space level: sensing_cov = U M U^H + theta I
     sensing_factor: np.ndarray    # Nt x r, F F^H = sensing_cov
-    objective: float              # tr(full_cov^-1)
+    objective: float              # tr(full_cov^-1); inf when theta = 0
     sinr: np.ndarray
+
+    @property
+    def sensing_cov(self):
+        """Nt x Nt sensing covariance U M U^H + theta I in O(Nt^2 K); uncached."""
+        return _dense_sensing(self.u_tilde, self.m, self.theta)
 
     @property
     def full_cov(self):
@@ -51,34 +59,53 @@ class BeamformingSolution:
         return full
 
 
-def range_solution(instance, channel, v, total, theta):
+def _dense_sensing(u, m, theta):
+    """(U M) U^H + theta I, the Nt x Nt sensing covariance of an answer."""
+    cov = (u @ m) @ u.conj().T
+    cov.flat[:: cov.shape[0] + 1] += theta
+    return cov
+
+
+def range_solution(instance, v, total, theta):
     """BeamformingSolution with total covariance theta I + U (total - theta I) U^H.
 
     `v` holds the beamformers in the range basis (w = U v), `total` is the
-    K x K range block of the total covariance and `theta` its null-space
+    K x K range block of the total covariance and `theta >= 0` its null-space
     level.  The objective tr(R^-1) = sum 1/eig(total) + (Nt - K) / theta is
-    read off the K x K block; the answer's `full_cov` is recomputed on access.
+    read off the K x K block (inf when theta = 0: R is then singular), and
+    the SINRs are computed in the range basis, exact because every channel is
+    h_k = U q_k.  The dense sensing covariance is built once, for its factor;
+    the answer derives `sensing_cov` and `full_cov` on access.
     """
     u = instance.u_tilde
     n_tx, k = instance.n_tx, instance.n_users
-    w = u @ v
     # total - theta I is exactly zero for the isotropic witness (total = theta I)
-    sensing_cov = (u @ (total - theta * np.eye(k) - v @ v.conj().T)) @ u.conj().T
-    sensing_cov.flat[:: n_tx + 1] += theta
+    m = total - theta * np.eye(k) - v @ v.conj().T
+    power = float(np.trace(total).real) + (n_tx - k) * theta  # tr R
+    if theta > 0:
+        objective = float(np.sum(1.0 / np.linalg.eigvalsh(total))) + (n_tx - k) / theta
+    else:
+        objective = np.inf
     return BeamformingSolution(
-        w=list(w.T),
-        sensing_cov=sensing_cov,
-        sensing_factor=sensing_factor(sensing_cov),
-        objective=float(np.sum(1.0 / np.linalg.eigvalsh(total))) + (n_tx - k) / theta,
-        sinr=evaluate_sinr(channel, w, sensing_cov, instance.noise_power),
+        w=list((u @ v).T),
+        u_tilde=u,
+        m=m,
+        theta=theta,
+        # the dense covariance lives only inside sensing_factor, which frees it
+        sensing_factor=sensing_factor(_dense_sensing(u, m, theta), power),
+        objective=objective,
+        sinr=evaluate_sinr(instance.h_tilde, v, m + theta * np.eye(k), instance.noise_power),
     )
 
 
-def extract_rank_one(x_star, instance, channel):
+def extract_rank_one(x_star, instance):
     """Build a BeamformingSolution from converged blocks X_k.
 
     v_k = X_k q_k / sqrt(t_k) with t_k = q_k^H X_k q_k, the range block is
-    sum_k X_k and theta spends the remaining budget on the null space.
+    sum_k X_k and theta spends the remaining budget on the null space,
+    clipped at 0: blocks that spend all of P_T (a stop within the violation
+    tolerance, or a capped run) leave a singular covariance, not a negative
+    null-space level.
     """
     ht = instance.h_tilde
 
@@ -90,26 +117,26 @@ def extract_rank_one(x_star, instance, channel):
         raise ExtractionDegenerate(f"tr(Q_k X_k) vanished for users {np.nonzero(weak)[0].tolist()}")
 
     v = np.einsum("kij,jk->ik", x_star, ht) / np.sqrt(t)
-    theta = (instance.power_budget - float(traces.sum())) / (instance.n_tx - instance.n_users)
-    return range_solution(instance, channel, v, x_star.sum(axis=0), theta)
+    theta = max((instance.power_budget - float(traces.sum())) / (instance.n_tx - instance.n_users), 0.0)
+    return range_solution(instance, v, x_star.sum(axis=0), theta)
 
 
-def sensing_factor(cov):
+def sensing_factor(cov, scale):
     """Rank-revealing square root F with F F^H = cov.
 
     Eigenvalue-based rather than Cholesky because the sensing covariance is
-    typically rank deficient.  Eigenvalues below -NEG_TOL * tr(cov) raise
-    NotPSD; smaller negatives are clipped to zero.
+    typically rank deficient.  `scale` is the trace of the total covariance
+    R that cov was taken from as R - W W^H, so its rounding is judged against
+    R: a sensing covariance that is all rounding (theta = 0, rank-one blocks)
+    is not a negative one.  Eigenvalues below -NEG_TOL * scale raise NotPSD;
+    smaller negatives are clipped to zero.
     """
     eigs, vecs = np.linalg.eigh(cov)
-    tr = float(np.sum(np.abs(eigs)))
-    if tr == 0.0:
-        return np.zeros((cov.shape[0], 0), dtype=complex)
-    if eigs[0] < -NEG_TOL * tr:
-        raise NotPSD(f"eigenvalue {eigs[0]:.3e} below -{NEG_TOL:.0e} * trace")
+    del cov  # the caller passes its only reference: free it before the scaling
+    if eigs[0] < -NEG_TOL * scale:
+        raise NotPSD(f"eigenvalue {eigs[0]:.3e} below -{NEG_TOL:.0e} * {scale:.3e}")
     # eigh sorts ascending: scale the kept suffix of vecs in place, uncopied
     first = np.searchsorted(eigs, 1e-14 * eigs[-1], side="right")
     factor = vecs[:, first:]
     factor *= np.sqrt(eigs[first:])
     return factor
-

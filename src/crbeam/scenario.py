@@ -65,8 +65,12 @@ def generate_channel(scenario, seed):
 
 
 def evaluate_sinr(channel, beamformers, sensing_cov, noise):
-    """Per-user SINR of the Nt x K beamformer matrix (one column per user)
-    under the Nt x Nt covariance of the sensing stream."""
+    """Per-user SINR of the beamformer matrix (one column per user) under the
+    covariance of the sensing stream.
+
+    Any orthonormal basis that contains the channels will do: with channels
+    Nt x K and covariance Nt x Nt, or with U^H h_k, U^H w_k and U^H S U in an
+    Nt x K basis U whose range holds every h_k, the SINRs are the same."""
     if beamformers.shape != channel.shape:
         raise ValueError(f"beamformer shape {beamformers.shape} does not match channel {channel.shape}")
     gains = np.abs(channel.conj().T @ beamformers) ** 2  # gains[k, i] = |h_k^H w_i|^2

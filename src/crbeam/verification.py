@@ -219,7 +219,8 @@ def kkt_residuals(sol, scenario, channel):
     n_tx, k = h.shape
     rho = 1.0 + 1.0 / scenario.sinr_thresholds
     w = np.column_stack(sol.w)
-    full = sol.full_cov
+    full = sol.full_cov  # both covariances are rebuilt on each access: read once
+    sens = sol.sensing_cov
 
     eigs, vecs = np.linalg.eigh(full)
     r_minus2 = (vecs / eigs**2) @ vecs.conj().T
@@ -254,17 +255,15 @@ def kkt_residuals(sol, scenario, channel):
         stationarity = max(stationarity, np.linalg.norm(tw) / (scale * wnorm))
         comp = max(comp, abs(np.vdot(w[:, i], tw).real) / (scale * wnorm**2))
         theta_psd = min(theta_psd, np.linalg.eigvalsh(theta_i)[0] / scale)
-    sens_norm = np.linalg.norm(sol.sensing_cov)
+    sens_norm = np.linalg.norm(sens)
     if sens_norm > 0:
-        stationarity = max(
-            stationarity, np.linalg.norm(base @ sol.sensing_cov) / (scale * sens_norm)
-        )
+        stationarity = max(stationarity, np.linalg.norm(base @ sens) / (scale * sens_norm))
     theta_psd = min(theta_psd, np.linalg.eigvalsh(base)[0] / scale)
 
     # SINRs from hw and h_k^H S h_k, apart from scenario.evaluate_sinr (sol.sinr's source)
     gains = np.abs(hw) ** 2
     signal = gains.diagonal()
-    sensing = np.einsum("ik,ij,jk->k", h.conj(), sol.sensing_cov, h).real
+    sensing = np.einsum("ik,ij,jk->k", h.conj(), sens, h).real
     sinr = signal / (gains.sum(axis=1) - signal + sensing + scenario.noise_power)
     slack_rel = sinr / scenario.sinr_thresholds - 1.0
     power = float(np.trace(full).real)

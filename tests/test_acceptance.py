@@ -37,7 +37,7 @@ def iterative_solve(scenario, channel):
     dual = precompute_dual(instance, SolverConfig().delta)
     init = initial_state(instance, p_low=feasibility.p_low)
     state, rep = solve(instance, dual, SolverConfig(), init=init)
-    return feasibility, rep, extract_rank_one(state.x, instance, channel=channel)
+    return feasibility, rep, extract_rank_one(state.x, instance)
 
 
 @pytest.fixture(scope="module")
@@ -305,10 +305,11 @@ def test_criterion_10_kkt_certification():
     sol = result.solution
     from crbeam.recovery import BeamformingSolution
 
-    half = 0.5 * sol.sensing_cov
     perturbed = BeamformingSolution(
         w=sol.w,
-        sensing_cov=half,
+        u_tilde=sol.u_tilde,
+        m=0.5 * sol.m,
+        theta=0.5 * sol.theta,
         sensing_factor=np.sqrt(0.5) * sol.sensing_factor,
         objective=0.0,
         sinr=sol.sinr,

@@ -8,7 +8,11 @@ import crbeam.cli
 import crbeam.scenario
 import crbeam.verification
 from crbeam.cli import ConfigError, RESULT_COLUMNS, load_config, main
-from crbeam.recovery import NotPSD
+from crbeam.feasibility import compute_p_low
+from crbeam.pipeline import PipelineResult
+from crbeam.rbal import SolveReport
+from crbeam.recovery import NotPSD, extract_rank_one
+from crbeam.reduction import build_reduced
 
 KKT_ROWS = ["kkt_stationarity", "kkt_theta_psd_margin", "kkt_complementarity", "kkt_primal_sinr", "kkt_primal_power"]
 
@@ -215,6 +219,26 @@ class TestSolveCommand:
         removed = ["sinr_margin", "power_residual", "sensing_psd_margin", "range_leak",
                    "projector_gap", "cov_residual", "objective_gap", "kkt_"]
         assert not [key for key in removed if key in out]
+
+    def test_spent_budget_answer_survives(self, tmp_path, capsys, monkeypatch):
+        """A capped run whose blocks spend all of P_T keeps its answer: theta
+        is 0, the objective inf, and --full-check reports the singular
+        covariance instead of failing."""
+        def spent_budget(scenario, channel, solver):
+            k = scenario.n_users
+            x = np.stack([np.eye(k, dtype=complex) * scenario.power_budget / k**2] * k)
+            solution = extract_rank_one(x, build_reduced(scenario, channel))
+            report = SolveReport("iteration_cap", 5, 0.1, 1.0)
+            return PipelineResult(compute_p_low(scenario, channel), False, solution, report, 1.0, 0.0, 0.0)
+
+        monkeypatch.setattr(crbeam.cli, "solve_scenario", spent_budget)
+        cfg = write_config(tmp_path / "c.json")
+        code = main(["solve", "--config", str(cfg), "--seed", "1", "--full-check"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.splitlines()[0].startswith("status: iteration_cap")
+        assert "objective tr(R^-1): inf" in out
+        assert "  objective_gap: n/a, " in out
 
     def test_solve_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         solve_raises(monkeypatch)

@@ -15,7 +15,7 @@ from crbeam.recovery import (
 )
 from crbeam.pipeline import solve_scenario
 from crbeam.reduction import build_reduced, check_degenerate, precompute_dual
-from crbeam.scenario import Scenario, evaluate_crb_objective, generate_channel
+from crbeam.scenario import Scenario, evaluate_crb_objective, evaluate_sinr, generate_channel
 from conftest import constrained_instance, make_scenario
 
 
@@ -44,7 +44,7 @@ class TestExtractRankOne:
     def test_single_user_known_optimum(self):
         sc, h, inst = single_user_setup()
         x_star = np.array([[[5.0 + 0j]]])
-        sol = extract_rank_one(x_star, inst, channel=h)
+        sol = extract_rank_one(x_star, inst)
         w = sol.w[0]
         # beamformer carries power 5 along the channel direction
         assert np.linalg.norm(w) ** 2 == pytest.approx(5.0, rel=1e-10)
@@ -62,7 +62,7 @@ class TestExtractRankOne:
         vs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         x = np.stack([np.outer(v, v.conj()) for v in vs])
         x *= 0.5 * scenario.power_budget / sum(np.trace(b).real for b in x)
-        sol = extract_rank_one(x, inst, channel=channel)
+        sol = extract_rank_one(x, inst)
         for k in range(2):
             w_reduced = inst.u_tilde.conj().T @ sol.w[k]
             rebuilt = np.outer(w_reduced, w_reduced.conj())
@@ -70,7 +70,7 @@ class TestExtractRankOne:
 
     def test_signal_power_preserved(self, converged_k3):
         scenario, channel, inst, state = converged_k3
-        sol = extract_rank_one(state.x, inst, channel=channel)
+        sol = extract_rank_one(state.x, inst)
         for k in range(scenario.n_users):
             q_k = inst.h_tilde[:, k]
             reduced_signal = np.vdot(q_k, state.x[k] @ q_k).real
@@ -88,11 +88,27 @@ class TestExtractRankOne:
         x[0] = np.outer(perp, perp.conj())
         x[1] = np.eye(2)
         with pytest.raises(ExtractionDegenerate):
-            extract_rank_one(x, inst, channel=h)
+            extract_rank_one(x, inst)
+
+    @pytest.mark.parametrize("overshoot", [1e-13, 0.0])
+    def test_spent_budget_clips_null_level(self, overshoot):
+        """Blocks that spend all of P_T (or overshoot it by rounding) leave
+        theta = 0 and a singular covariance: objective inf, factor intact."""
+        scenario = make_scenario(12, 3, power=1.0 - overshoot)
+        channel = generate_channel(scenario, 1)
+        inst = build_reduced(scenario, channel)
+        x = np.stack([np.eye(3, dtype=complex) / 9] * 3)  # traces sum to 1
+        sol = extract_rank_one(x, inst)
+        assert sol.theta == 0.0
+        assert sol.objective == np.inf
+        f = sol.sensing_factor
+        sensing = sol.sensing_cov
+        assert np.linalg.norm(f @ f.conj().T - sensing) <= 1e-12 * np.linalg.norm(sensing)
+        assert np.trace(sol.full_cov).real == pytest.approx(1.0, rel=1e-12)
 
     def test_reduced_objective_matches_dense(self, converged_k3):
         scenario, channel, inst, state = converged_k3
-        sol = extract_rank_one(state.x, inst, channel=channel)
+        sol = extract_rank_one(state.x, inst)
         assert sol.objective == pytest.approx(evaluate_crb_objective(sol.full_cov), rel=1e-9)
 
 
@@ -112,7 +128,7 @@ class TestRangeSolution:
     @pytest.mark.parametrize("n_tx, k, seed", [(12, 3, 4), (8, 2, 3), (16, 4, 5)])
     def test_converged_blocks_match_dense(self, n_tx, k, seed):
         scenario, channel, inst, state = converged(n_tx, k, seed)
-        sol = extract_rank_one(state.x, inst, channel=channel)
+        sol = extract_rank_one(state.x, inst)
         # dense reference: U (sum X_k) U^H + theta U_c U_c^H, w_k = U X_k q_k / sqrt(t_k)
         u = inst.u_tilde
         u_c = null_space_basis(channel)
@@ -133,7 +149,7 @@ class TestRangeSolution:
         verdict = check_degenerate(inst)
         assert verdict.isotropic
         c = scenario.power_budget / scenario.n_tx
-        sol = range_solution(inst, channel, verdict.v, c * np.eye(8), c)
+        sol = range_solution(inst, verdict.v, c * np.eye(8), c)
         assert_matches_dense(sol, c * np.eye(64), inst.u_tilde @ verdict.v)
         assert sol.objective == pytest.approx(64**2 / scenario.power_budget, rel=1e-12)
         # the pipeline's isotropic answer is this builder's output
@@ -141,6 +157,20 @@ class TestRangeSolution:
         assert result.degenerate
         assert np.array_equal(np.column_stack(result.solution.w), np.column_stack(sol.w))
         assert np.array_equal(result.solution.full_cov, sol.full_cov)
+
+    @pytest.mark.parametrize("isotropic", [True, False])
+    def test_range_basis_sinr_matches_dense(self, isotropic, solved_k3):
+        """The SINRs computed in the range basis equal the dense Nt x Nt ones."""
+        if isotropic:
+            scenario = make_scenario(64, 8)
+            channel = generate_channel(scenario, 1)
+            result = solve_scenario(scenario, channel)
+        else:
+            scenario, channel, result = solved_k3
+        assert result.degenerate == isotropic
+        sol = result.solution
+        dense = evaluate_sinr(channel, np.column_stack(sol.w), sol.sensing_cov, scenario.noise_power)
+        assert np.max(np.abs(sol.sinr - dense) / dense) <= 1e-12
 
 
 def traced_peak(fn):
@@ -154,8 +184,9 @@ def traced_peak(fn):
 
 class TestPeakMemory:
     """Building an answer allocates about two Nt x Nt arrays at its peak: the
-    sensing covariance and eigh's eigenvectors, scaled in place.  The total
-    covariance is not built."""
+    sensing covariance and eigh's eigenvectors.  The covariance is freed
+    before the eigenvectors are scaled in place, and the total covariance is
+    not built.  The answer keeps one Nt x Nt array, the factor."""
 
     N_TX, K = 512, 4
     BOUND = 2.2 * N_TX**2 * 16  # bytes of 2.2 complex Nt x Nt arrays
@@ -172,6 +203,26 @@ class TestPeakMemory:
         assert result.degenerate
         assert peak <= self.BOUND
 
+    def test_solve_scenario_keeps_one_array(self, isotropic):
+        tracemalloc.start()
+        try:
+            result = solve_scenario(*isotropic)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result.solution.sensing_factor.shape == (self.N_TX, self.N_TX)
+        assert kept <= 1.2 * self.N_TX**2 * 16
+
+    def test_small_isotropic_solve(self):
+        """At Nt = 64 the scaling's temporary buffer matters: it must not sit
+        on top of the covariance and the eigenvectors."""
+        scenario = make_scenario(64, 8)
+        channel = generate_channel(scenario, 1)
+        solve_scenario(scenario, channel)  # warm-up outside the traced call
+        result, peak = traced_peak(lambda: solve_scenario(scenario, channel))
+        assert result.degenerate
+        assert peak <= 2.7 * 64**2 * 16
+
     def test_range_solution_clipped_factor(self, isotropic):
         scenario, channel = isotropic
         inst = build_reduced(scenario, channel)
@@ -179,7 +230,7 @@ class TestPeakMemory:
         c = scenario.power_budget / self.N_TX
         # lambda_max(v v^H) = c leaves one zero eigenvalue in c I - W W^H to clip
         v = verdict.v * np.sqrt(c / np.linalg.eigvalsh(verdict.v @ verdict.v.conj().T)[-1])
-        sol, peak = traced_peak(lambda: range_solution(inst, channel, v, c * np.eye(self.K), c))
+        sol, peak = traced_peak(lambda: range_solution(inst, v, c * np.eye(self.K), c))
         assert peak <= self.BOUND
         f = sol.sensing_factor
         assert f.shape == (self.N_TX, self.N_TX - 1)
@@ -191,18 +242,18 @@ class TestSensingFactor:
     def test_rank_one(self):
         cov = np.zeros((4, 4), dtype=complex)
         cov[0, 0] = 4.0
-        f = sensing_factor(cov)
+        f = sensing_factor(cov, 4.0)
         assert f.shape == (4, 1)
         assert np.allclose(f @ f.conj().T, cov, atol=1e-12)
 
     def test_identity(self):
-        f = sensing_factor(np.eye(3, dtype=complex))
+        f = sensing_factor(np.eye(3, dtype=complex), 3.0)
         assert f.shape == (3, 3)
         assert np.allclose(f @ f.conj().T, np.eye(3), atol=1e-12)
 
     def test_projector_structure_from_converged_run(self, converged_k3):
         scenario, channel, inst, state = converged_k3
-        sol = extract_rank_one(state.x, inst, channel=channel)
+        sol = extract_rank_one(state.x, inst)
         f = sol.sensing_factor
         theta = np.trace(sol.sensing_cov).real / (scenario.n_tx - scenario.n_users)
         gram = f.conj().T @ f
@@ -211,9 +262,16 @@ class TestSensingFactor:
 
     def test_not_psd_raises(self):
         with pytest.raises(NotPSD):
-            sensing_factor(np.diag([1.0, -0.5]))
+            sensing_factor(np.diag([1.0, -0.5]), 1.5)
 
     def test_small_negatives_clipped(self):
-        f = sensing_factor(np.diag([1.0, -1e-12]))
+        f = sensing_factor(np.diag([1.0, -1e-12]), 1.0)
         assert f.shape[1] == 1
 
+    def test_rounding_judged_against_total(self):
+        """A sensing covariance that is all rounding, as theta = 0 with
+        rank-one blocks leaves it, is clipped against tr R, not its own size."""
+        f = sensing_factor(np.diag([-2e-18, 1e-18, 0.0]), 1.0)
+        assert f.shape == (3, 1)
+        with pytest.raises(NotPSD):
+            sensing_factor(np.diag([-2e-8, 1e-18, 0.0]), 1.0)

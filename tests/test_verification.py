@@ -140,11 +140,11 @@ class TestKktResiduals:
         sol = result.solution
         # halving the sensing covariance keeps feasibility (it causes no
         # interference) but breaks stationarity
-        w = sol.w
-        half_sensing = 0.5 * sol.sensing_cov
         perturbed = BeamformingSolution(
-            w=w,
-            sensing_cov=half_sensing,
+            w=sol.w,
+            u_tilde=sol.u_tilde,
+            m=0.5 * sol.m,
+            theta=0.5 * sol.theta,
             sensing_factor=np.sqrt(0.5) * sol.sensing_factor,
             objective=0.0,
             sinr=sol.sinr,
@@ -159,7 +159,9 @@ class TestKktResiduals:
         sol = solve_scenario(scenario, channel).solution
         halved = BeamformingSolution(
             w=[0.5 * w for w in sol.w],
-            sensing_cov=sol.sensing_cov,
+            u_tilde=sol.u_tilde,
+            m=sol.m,
+            theta=sol.theta,
             sensing_factor=sol.sensing_factor,
             objective=0.0,
             sinr=sol.sinr,
