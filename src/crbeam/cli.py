@@ -202,7 +202,8 @@ def solution_json(result, row, scenario):
         sol = result.solution
         doc.update(
             {
-                "objective": row.crb_objective,
+                # strict JSON has no Infinity: a spent budget's objective is null
+                "objective": row.crb_objective if np.isfinite(row.crb_objective) else None,
                 "sinr": sol.sinr.tolist(),
                 "beamformers": [[_pair(z) for z in w] for w in sol.w],
                 "sensing_factor": _complex_matrix_json(sol.sensing_factor),

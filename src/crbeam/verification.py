@@ -2,9 +2,9 @@
 
 Nothing here shares code with the structured dual update it checks: the dense
 path materializes the full constraint operator and inverts the regularized
-normal matrix directly, the K=1 oracle minimizes the one-dimensional objective
-by golden-section search, and the KKT check fits multipliers numerically from
-a candidate solution.
+normal matrix directly, the K=1 oracle takes the minimizer of the
+one-dimensional objective in closed form, and the KKT check fits multipliers
+numerically from a candidate solution.
 """
 
 from dataclasses import dataclass
@@ -25,12 +25,12 @@ def _unvec(v, k):
 
 @dataclass(frozen=True)
 class DenseSystem:
-    """Literal constraint operator D and right-hand side b, plus the dense
-    factorization of D D^H + delta I."""
+    """Literal constraint operator D and right-hand side b, plus the normal
+    matrix D D^H + delta I and its dense factorization."""
 
     d: np.ndarray
     b: np.ndarray
-    delta: float
+    normal: np.ndarray
     normal_factor: np.ndarray   # lower Cholesky factor
 
 
@@ -61,7 +61,7 @@ def build_dense_system(instance, delta):
     b[:k] = instance.noise_power
 
     normal = d @ d.conj().T + delta * np.eye(m)
-    return DenseSystem(d=d, b=b, delta=float(delta), normal_factor=np.linalg.cholesky(normal))
+    return DenseSystem(d=d, b=b, normal=normal, normal_factor=np.linalg.cholesky(normal))
 
 
 def _pack_u(state):
@@ -141,21 +141,19 @@ def assemble_structured_inverse(instance, dual):
 
 def dense_dual_inverse_check(instance, dual):
     """Max-abs entry of structured_inverse @ (D D^H + delta I) - I."""
-    k = instance.n_users
-    m = k + 2 * k * k
-    dense = build_dense_system(instance, dual.delta)
-    normal = dense.d @ dense.d.conj().T + dual.delta * np.eye(m)
+    normal = build_dense_system(instance, dual.delta).normal
     structured = assemble_structured_inverse(instance, dual)
-    return float(np.max(np.abs(structured @ normal - np.eye(m))))
+    return float(np.max(np.abs(structured @ normal - np.eye(normal.shape[0]))))
 
 
 def scalar_oracle_k1(scenario, channel):
     """Single-user oracle: minimize 1/x + (Nt-1)^2/(P_T - x) over x >= x_min.
 
     x is the scalar reduced variable, x_min = threshold * noise / ||h||^2 the
-    SINR floor.  Golden-section search; no solver code involved.  Returns
-    (x_opt, objective, degenerate) where degenerate means the SINR constraint
-    is slack at the optimum.
+    SINR floor.  The objective is convex with its stationary point at
+    x = P_T / Nt, so the optimum is max(x_min, P_T / Nt); no solver code
+    involved.  Returns (x_opt, objective, degenerate) where degenerate means
+    the SINR constraint is slack at the optimum.
     """
     if scenario.n_users != 1:
         raise ValueError("oracle requires K = 1")
@@ -166,41 +164,11 @@ def scalar_oracle_k1(scenario, channel):
     if p_t < x_min * (1.0 - 1e-9):
         raise ValueError(f"infeasible: P_T = {p_t} below minimum power {x_min}")
     x_min = min(x_min, p_t)
-    null_sq = float(scenario.n_tx - 1) ** 2
-
-    def f(x):
-        if x >= p_t:
-            return float("inf")
-        return 1.0 / x + null_sq / (p_t - x)
-
-    lo, hi = x_min, p_t * (1.0 - 1e-12)
-    if lo >= hi:  # budget exactly at the feasibility boundary
-        return x_min, f(x_min), False
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12 * p_t:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x_opt = 0.5 * (a + b)
-    # golden section localizes x only to ~sqrt(eps) on this flat objective;
-    # a few Newton steps on f' pin the interior stationary point
-    for _ in range(4):
-        grad = -1.0 / x_opt**2 + null_sq / (p_t - x_opt) ** 2
-        curv = 2.0 / x_opt**3 + 2.0 * null_sq / (p_t - x_opt) ** 3
-        x_opt = min(max(x_opt - grad / curv, x_min), hi)
-    if f(x_min) <= f(x_opt):
-        x_opt = x_min
-    degenerate = (x_opt - x_min) > 1e-9 * (hi - x_min)
-    return x_opt, f(x_opt), degenerate
+    x_opt = max(x_min, p_t / scenario.n_tx)
+    if x_opt >= p_t:  # budget exactly at the feasibility boundary
+        return x_opt, float("inf"), False
+    objective = 1.0 / x_opt + float(scenario.n_tx - 1) ** 2 / (p_t - x_opt)
+    return x_opt, objective, x_opt > x_min
 
 
 def kkt_residuals(sol, scenario, channel):
@@ -225,7 +193,7 @@ def kkt_residuals(sol, scenario, channel):
     eigs, vecs = np.linalg.eigh(full)
     r_minus2 = (vecs / eigs**2) @ vecs.conj().T
     u_c = null_space_basis(h)
-    theta_est = float(np.einsum("ij,ik,kj->", u_c.conj(), full, u_c).real) / (n_tx - k)
+    theta_est = float(np.einsum("ij,ij->", u_c.conj(), full @ u_c).real) / (n_tx - k)
     omega = 1.0 / theta_est**2
     scale = 1.0 / eigs[0] ** 2 + omega
 

@@ -233,12 +233,21 @@ class TestSolveCommand:
 
         monkeypatch.setattr(crbeam.cli, "solve_scenario", spent_budget)
         cfg = write_config(tmp_path / "c.json")
-        code = main(["solve", "--config", str(cfg), "--seed", "1", "--full-check"])
+        doc_path = tmp_path / "sol.json"
+        code = main(["solve", "--config", str(cfg), "--seed", "1", "--full-check", "--out", str(doc_path)])
         out = capsys.readouterr().out
         assert code == 3
         assert out.splitlines()[0].startswith("status: iteration_cap")
         assert "objective tr(R^-1): inf" in out
         assert "  objective_gap: n/a, " in out
+
+        # the document is strict JSON: no Infinity/NaN constants
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(doc_path.read_text(), parse_constant=reject)
+        assert doc["schema_version"] == 1
+        assert doc["objective"] is None
 
     def test_solve_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         solve_raises(monkeypatch)

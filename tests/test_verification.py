@@ -102,6 +102,26 @@ class TestScalarOracle:
         with pytest.raises(ValueError):
             scalar_oracle_k1(sc, h)
 
+    @pytest.mark.parametrize("n_tx", [2, 4, 16, 64])
+    @pytest.mark.parametrize("budget", [0.75, 0.95, 1.05, 3.0])
+    def test_optimum_beats_grid(self, n_tx, budget):
+        # budget is in units of Nt * x_min: below 1 the SINR floor binds
+        sc0 = Scenario(n_tx, 1, 1.0, np.array([10.0]), 1.0)
+        h = generate_channel(sc0, n_tx)
+        x_min = 10.0 / float(np.linalg.norm(h) ** 2)
+        p_t = budget * n_tx * x_min
+        sc = Scenario(n_tx, 1, p_t, np.array([10.0]), 1.0)
+
+        def f(x):
+            return 1.0 / x + (n_tx - 1) ** 2 / (p_t - x)
+
+        x, objective, degenerate = scalar_oracle_k1(sc, h)
+        assert x_min * (1.0 - 1e-12) <= x < p_t
+        assert degenerate == (budget > 1.0)
+        assert objective == pytest.approx(f(x), rel=1e-12)
+        grid = np.linspace(x_min, p_t, 10_001)[:-1]
+        assert objective <= np.min(f(grid))
+
     def test_pipeline_agreement(self):
         assert oracle_agreement(8) < 1e-6
 
