@@ -138,12 +138,17 @@ def _scenario(cfg, n_tx, n_users, where=""):
         ) from exc
 
 
-def _pair(z):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _complex_matrix_json(m):
-    return [[_pair(z) for z in row] for row in np.atleast_2d(m)]
+    return np.stack([m.real, m.imag], axis=-1).tolist()  # rows of [re, im] pairs
+
+
+def _out_file(path, **kwargs):
+    """`path` opened for writing, or None after one `cannot write` line on stderr."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return None
 
 
 def result_row(result, scenario, trial="", seed=""):
@@ -185,7 +190,7 @@ def solve_or_report(scenario, channel, solver, where=""):
 
 def solution_json(result, row, scenario):
     doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "scenario": {
             "n_tx": scenario.n_tx,
             "n_users": scenario.n_users,
@@ -201,15 +206,16 @@ def solution_json(result, row, scenario):
     if row.feasible:
         sol = result.solution
         doc.update(
-            {
-                # strict JSON has no Infinity: a spent budget's objective is null
-                "objective": row.crb_objective if np.isfinite(row.crb_objective) else None,
-                "sinr": sol.sinr.tolist(),
-                "beamformers": [[_pair(z) for z in w] for w in sol.w],
-                "sensing_factor": _complex_matrix_json(sol.sensing_factor),
-                "iterations": row.iterations,
-                "final_violation": row.final_violation,
-            }
+            # strict JSON has no Infinity: a spent budget's objective is null
+            objective=row.crb_objective if np.isfinite(row.crb_objective) else None,
+            sinr=sol.sinr.tolist(),
+            beamformers=_complex_matrix_json(sol.w),  # row k is user k's w_k
+            # R = W W^H + U M U^H + theta I: the Nt x K basis U, the K x K block M, theta
+            range_basis=_complex_matrix_json(sol.u_tilde),
+            sensing_block=_complex_matrix_json(sol.m),
+            null_level=sol.theta,
+            iterations=row.iterations,
+            final_violation=row.final_violation,
         )
     return doc
 
@@ -247,7 +253,9 @@ def cmd_solve(args):
             print(f"  objective_gap: {abs(full_objective - result.reduced_objective) / full_objective:+.3e}")
 
     if args.out:
-        with open(args.out, "w") as fh:
+        if (fh := _out_file(args.out)) is None:
+            return 1
+        with fh:
             json.dump(solution_json(result, row, scenario), fh, indent=1)
         print(f"solution written to {args.out}")
     if status == "infeasible":
@@ -272,28 +280,29 @@ def cmd_sweep(args):
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a 'sweep' section in the config")
     param = cfg.sweep["parameter"]
+    if (fh := _out_file(args.out, newline="", encoding="utf-8")) is None:  # found before any trial runs
+        return 1
     rows, statuses, aggregates = [], [], []
-    for value, scenario in cfg.sweep_scenarios.items():
-        n_tx, n_users = scenario.n_tx, scenario.n_users
-        results = [run_trial(cfg, scenario, t) for t in range(cfg.trials)]
-        rows.extend(row for row, _ in results)
-        point = [status for _, status in results]
-        statuses.extend(point)
-        solved = [row for row, status in results if status in ("converged", ISOTROPIC)]
-        if solved:
-            for name, stat in (("mean", np.mean), ("median", np.median)):
-                objective, iterations, setup, runtime = (
-                    float(stat([getattr(g, col) for g in solved]))
-                    for col in ("crb_objective", "iterations", "setup_seconds", "iter_seconds_total")
-                )
-                aggregates.append(ResultRow(
-                    name, "", n_tx, n_users, True, "", objective, iterations, setup, runtime, "", "",
-                ))
-        print(f"{param}={value}: {len(solved)}/{len(results)} trials solved, "
-              f"{point.count('iteration_cap')} stopped at iteration_cap, {point.count('failed')} failed",
-              file=sys.stderr)
-
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with fh:
+        for value, scenario in cfg.sweep_scenarios.items():
+            n_tx, n_users = scenario.n_tx, scenario.n_users
+            results = [run_trial(cfg, scenario, t) for t in range(cfg.trials)]
+            rows.extend(row for row, _ in results)
+            point = [status for _, status in results]
+            statuses.extend(point)
+            solved = [row for row, status in results if status in ("converged", ISOTROPIC)]
+            if solved:
+                for name, stat in (("mean", np.mean), ("median", np.median)):
+                    objective, iterations, setup, runtime = (
+                        float(stat([getattr(g, col) for g in solved]))
+                        for col in ("crb_objective", "iterations", "setup_seconds", "iter_seconds_total")
+                    )
+                    aggregates.append(ResultRow(
+                        name, "", n_tx, n_users, True, "", objective, iterations, setup, runtime, "", "",
+                    ))
+            print(f"{param}={value}: {len(solved)}/{len(results)} trials solved, "
+                  f"{point.count('iteration_cap')} stopped at iteration_cap, {point.count('failed')} failed",
+                  file=sys.stderr)
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for row in rows + aggregates:
@@ -357,6 +366,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # the rule of the config's base_seed
+            _require_int("--seed", args.seed, 0)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -56,11 +56,5 @@ def solve_scenario(scenario, channel, config=None):
 
     solution = extract_rank_one(state.x, instance)
     return PipelineResult(
-        feasibility=report,
-        degenerate=False,
-        solution=solution,
-        solve_report=solve_report,
-        reduced_objective=solve_report.objective,
-        setup_seconds=setup_seconds,
-        iter_seconds=iter_seconds,
+        report, False, solution, solve_report, solve_report.objective, setup_seconds, iter_seconds
     )

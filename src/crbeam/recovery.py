@@ -11,9 +11,10 @@ and the sensing covariance is the remainder R - W W^H = U M U^H + theta I
 with the K x K block M = Y - theta I - V V^H.  One builder, `range_solution`,
 assembles the answers of both regimes: the objective from Y, the SINRs in the
 range basis, the sensing covariance's factor by one dense `eigh`.  An answer
-keeps one Nt x Nt array, that factor; `sensing_cov` and `full_cov` are
-recomputed on access from U, M and theta.  This module only builds answers:
-the checks of an answer are the independent oracles in `verification`.
+is (U, V, M, theta) plus that factor, its one Nt x Nt array; `w`,
+`sensing_cov` and `full_cov` are recomputed on access.  This module only
+builds answers: the checks of an answer are the independent oracles in
+`verification`.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ class NotPSD(Exception):
 
 @dataclass
 class BeamformingSolution:
-    w: list                       # K beamforming vectors, each (Nt,)
+    v: np.ndarray                 # K x K beamformers in the range basis: w_k = U v_k
     u_tilde: np.ndarray           # Nt x K orthonormal range basis U, shared with the instance
     m: np.ndarray                 # K x K range block of sensing_cov - theta I
     theta: float                  # null-space level: sensing_cov = U M U^H + theta I
@@ -46,21 +47,23 @@ class BeamformingSolution:
     sinr: np.ndarray
 
     @property
+    def w(self):
+        """K x Nt beamformers (U V)^T, row k user k's; uncached."""
+        return (self.u_tilde @ self.v).T
+
+    @property
     def sensing_cov(self):
         """Nt x Nt sensing covariance U M U^H + theta I in O(Nt^2 K); uncached."""
         return _dense_sensing(self.u_tilde, self.m, self.theta)
 
     @property
     def full_cov(self):
-        """Nt x Nt total covariance W W^H + sensing_cov in O(Nt^2 K); uncached."""
-        w = np.column_stack(self.w)
-        full = w @ w.conj().T
-        full += self.sensing_cov
-        return full
+        """Nt x Nt total covariance U (M + V V^H) U^H + theta I in O(Nt^2 K); uncached."""
+        return _dense_sensing(self.u_tilde, self.m + self.v @ self.v.conj().T, self.theta)
 
 
 def _dense_sensing(u, m, theta):
-    """(U M) U^H + theta I, the Nt x Nt sensing covariance of an answer."""
+    """(U M) U^H + theta I: the sensing covariance of an answer, or with M + V V^H its total."""
     cov = (u @ m) @ u.conj().T
     cov.flat[:: cov.shape[0] + 1] += theta
     return cov
@@ -75,7 +78,7 @@ def range_solution(instance, v, total, theta):
     read off the K x K block (inf when theta = 0: R is then singular), and
     the SINRs are computed in the range basis, exact because every channel is
     h_k = U q_k.  The dense sensing covariance is built once, for its factor;
-    the answer derives `sensing_cov` and `full_cov` on access.
+    the answer derives `w`, `sensing_cov` and `full_cov` on access.
     """
     u = instance.u_tilde
     n_tx, k = instance.n_tx, instance.n_users
@@ -87,7 +90,7 @@ def range_solution(instance, v, total, theta):
     else:
         objective = np.inf
     return BeamformingSolution(
-        w=list((u @ v).T),
+        v=v,
         u_tilde=u,
         m=m,
         theta=theta,

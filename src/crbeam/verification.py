@@ -64,15 +64,8 @@ def build_dense_system(instance, delta):
     return DenseSystem(d=d, b=b, normal=normal, normal_factor=np.linalg.cholesky(normal))
 
 
-def _pack_u(state):
-    parts = [_vec(xk) for xk in state.x]
-    parts.append(_vec(state.y))
-    parts.append(_vec(state.z))
-    return np.concatenate(parts)
-
-
-def _pack_lam(state):
-    return np.concatenate([state.mu.astype(complex), _vec(state.omega1), _vec(state.omega2)])
+def _pack_u(x, y, z):
+    return np.concatenate([_vec(xk) for xk in x] + [_vec(y), _vec(z)])
 
 
 def reference_iterate(state, instance, dense, tau):
@@ -84,8 +77,8 @@ def reference_iterate(state, instance, dense, tau):
     """
     k = instance.n_users
     k2 = k * k
-    u = _pack_u(state)
-    lam = _pack_lam(state)
+    u = _pack_u(state.x, state.y, state.z)
+    lam = np.concatenate([state.mu.astype(complex), _vec(state.omega1), _vec(state.omega2)])
 
     u_t = u - tau * (dense.d.conj().T @ lam)
     x_t = np.stack([_unvec(u_t[i * k2 : (i + 1) * k2], k) for i in range(k)])
@@ -96,7 +89,7 @@ def reference_iterate(state, instance, dense, tau):
     y_new = prox_y(y_t, tau)
     z_new = prox_z(z_t, tau, instance.power_budget, instance.n_tx, instance.n_users)
 
-    u_new = np.concatenate([_vec(xk) for xk in x_new] + [_vec(y_new), _vec(z_new)])
+    u_new = _pack_u(x_new, y_new, z_new)
     p = dense.d @ (2.0 * u_new - u) - dense.b
     ell = dense.normal_factor
     lam_new = lam + np.linalg.solve(ell.conj().T, np.linalg.solve(ell, p)) / tau

@@ -5,6 +5,8 @@ measured <= threshold.  The quick tier runs in well under a minute; the full
 tier adds larger dimensions and more oracle instances.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .feasibility import compute_p_low
@@ -78,10 +80,7 @@ def oracle_agreement(count, base_seed=100):
         hnorm2 = float(np.linalg.norm(channel) ** 2)
         x_min = gamma / hnorm2
         p_t = (1.5 + 0.5 * (i % 3)) * x_min if i % 2 == 0 else (2.0 * n_tx + 5.0) * x_min
-        scenario = Scenario(
-            n_tx=n_tx, n_users=1, power_budget=p_t,
-            sinr_thresholds=np.array([gamma]), noise_power=1.0,
-        )
+        scenario = replace(scenario0, power_budget=p_t)
         _, objective, _ = scalar_oracle_k1(scenario, channel)
         result = solve_scenario(scenario, channel)
         worst = max(worst, abs(result.solution.objective - objective) / objective)

@@ -306,7 +306,7 @@ def test_criterion_10_kkt_certification():
     from crbeam.recovery import BeamformingSolution
 
     perturbed = BeamformingSolution(
-        w=sol.w,
+        v=sol.v,
         u_tilde=sol.u_tilde,
         m=0.5 * sol.m,
         theta=0.5 * sol.theta,

@@ -115,6 +115,19 @@ class TestConfig:
         assert main(["feasibility", "--config", str(p)]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, seed", [("solve", "-1"), ("feasibility", "-3")])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch, command, seed):
+        """--seed follows base_seed's rule and is refused before any channel is drawn."""
+        def no_work(*args):
+            raise AssertionError("a channel was drawn")
+
+        monkeypatch.setattr(crbeam.cli, "generate_channel", no_work)
+        cfg = write_config(tmp_path / "c.json")
+        assert main([command, "--config", str(cfg), "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"config error: --seed must be an integer >= 0, got {seed}"]
+        assert captured.out == ""
+
 
 class TestSolveCommand:
     def test_solve_writes_solution_json(self, tmp_path, capsys):
@@ -123,7 +136,7 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(cfg), "--seed", "3", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["feasible"] is True
         assert doc["scenario"]["power_budget_mw"] == pytest.approx(10.0)
         # complex entries are [re, im] pairs
@@ -144,9 +157,10 @@ class TestSolveCommand:
             return pairs[..., 0] + 1j * pairs[..., 1]
 
         w = complex_matrix(doc["beamformers"]).T  # one column per user
-        f = complex_matrix(doc["sensing_factor"])
-        assert w.shape == (8, 2) and f.shape[0] == 8
-        full = w @ w.conj().T + f @ f.conj().T
+        u = complex_matrix(doc["range_basis"])
+        m = complex_matrix(doc["sensing_block"])
+        assert w.shape == (8, 2) and u.shape == (8, 2) and m.shape == (2, 2)
+        full = w @ w.conj().T + u @ m @ u.conj().T + doc["null_level"] * np.eye(8)
         budget = doc["scenario"]["power_budget_mw"]
         assert np.trace(full).real == pytest.approx(budget, rel=1e-9)
         assert np.trace(np.linalg.inv(full)).real == pytest.approx(doc["objective"], rel=1e-6)
@@ -175,7 +189,9 @@ class TestSolveCommand:
         doc = json.loads(out.read_text())
         assert doc["feasible"] is False
         assert doc["p_low_mw"] > doc["scenario"]["power_budget_mw"]
-        assert not {"objective", "sinr", "beamformers", "sensing_factor", "iterations"} & set(doc)
+        assert not {
+            "objective", "sinr", "beamformers", "range_basis", "sensing_block", "null_level", "iterations",
+        } & set(doc)
 
     def test_degenerate_single_user(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", n_tx=4, n_users=1, p_t_dbm=20.0)
@@ -246,8 +262,16 @@ class TestSolveCommand:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         doc = json.loads(doc_path.read_text(), parse_constant=reject)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["objective"] is None
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "missing" / "sol.json"
+        assert main(["solve", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"cannot write {out}: No such file or directory"]
+        assert "solution written" not in captured.out
 
     def test_solve_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         solve_raises(monkeypatch)
@@ -329,6 +353,18 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 4
         assert "Nt=8: 0/2 trials solved, 1 stopped at iteration_cap, 1 failed" in capsys.readouterr().err
+
+    def test_unwritable_out_found_before_first_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(crbeam.cli, "solve_scenario", no_trial)
+        cfg = self.sweep_config(tmp_path)
+        out = tmp_path / "missing" / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"cannot write {out}: No such file or directory"]
+        assert captured.out == ""
 
     def test_sweep_requires_sweep_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")

@@ -1,18 +1,22 @@
-"""Metamorphic tests: transforms of the channel that leave the problem unchanged.
+"""Metamorphic tests: transforms of the channel that leave the problem unchanged,
+and changes of the data that move the optimum one way.
 
 A unitary rotation Q H of the array, a permutation of the users (with their
 equal SINR targets) and a phase on each user's channel map feasible designs
 onto feasible designs with the same tr(R^-1), so the solver must return the
-same status and the same objective.
+same status and the same objective.  A larger budget enlarges the feasible
+set and a larger SINR target shrinks it, so the optimal tr(R^-1) falls with
+the budget and rises with a target.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crbeam.pipeline import solve_scenario
-from crbeam.scenario import generate_channel
+from crbeam.scenario import dbm_to_linear, generate_channel
 from conftest import constrained_instance, make_scenario
 
 
@@ -59,3 +63,31 @@ def test_transform_keeps_answer(name, transform):
     moved_status, moved_objective = outcome(scenario, transform(channel, np.random.default_rng(7)))
     assert moved_status == status
     assert moved_objective == pytest.approx(objective, rel=1e-9)
+
+
+MONOTONE = {"8x2": (8, 2, 3), "12x3": (12, 3, 4), "16x4": (16, 4, 5)}
+
+
+@functools.cache
+def converged_objective(name, factor, gamma0_db):
+    """Objective at `factor` x p_low of the all-10 dB instance, with user 0's
+    target set to gamma0_db; the solve must converge."""
+    n_tx, k, seed = MONOTONE[name]
+    scenario, channel = constrained_instance(n_tx, k, seed=seed, factor=factor)
+    targets = scenario.sinr_thresholds.copy()
+    targets[0] = dbm_to_linear(gamma0_db)
+    status, objective = outcome(replace(scenario, sinr_thresholds=targets), channel)
+    assert status == "converged"
+    return objective
+
+
+@pytest.mark.parametrize("name", list(MONOTONE))
+def test_objective_falls_with_budget(name):
+    high, mid, low = (converged_objective(name, factor, 10.0) for factor in (2.5, 3.0, 4.0))
+    assert high > mid > low
+
+
+@pytest.mark.parametrize("name", list(MONOTONE))
+def test_objective_rises_with_target(name):
+    low, mid, high = (converged_objective(name, 3.0, gamma0_db) for gamma0_db in (8.0, 10.0, 11.0))
+    assert low < mid < high

@@ -161,7 +161,7 @@ class TestKktResiduals:
         # halving the sensing covariance keeps feasibility (it causes no
         # interference) but breaks stationarity
         perturbed = BeamformingSolution(
-            w=sol.w,
+            v=sol.v,
             u_tilde=sol.u_tilde,
             m=0.5 * sol.m,
             theta=0.5 * sol.theta,
@@ -178,7 +178,7 @@ class TestKktResiduals:
         scenario, channel = constrained_instance(8, 2, seed=3, factor=2.5)
         sol = solve_scenario(scenario, channel).solution
         halved = BeamformingSolution(
-            w=[0.5 * w for w in sol.w],
+            v=0.5 * sol.v,
             u_tilde=sol.u_tilde,
             m=sol.m,
             theta=sol.theta,
