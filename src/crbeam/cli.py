@@ -7,6 +7,7 @@ linear units happens exactly once, here.
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -142,10 +143,10 @@ def _complex_matrix_json(m):
     return np.stack([m.real, m.imag], axis=-1).tolist()  # rows of [re, im] pairs
 
 
-def _out_file(path, **kwargs):
+def _out_file(path, mode="w", **kwargs):
     """`path` opened for writing, or None after one `cannot write` line on stderr."""
     try:
-        return open(path, "w", **kwargs)
+        return open(path, mode, **kwargs)
     except OSError as exc:
         print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
         return None
@@ -222,6 +223,13 @@ def solution_json(result, row, scenario):
 
 def cmd_solve(args):
     cfg = load_config(args.config)
+    if args.out:  # probed before the solve: appending truncates nothing, and a new file is removed
+        existed = os.path.lexists(args.out)
+        if (fh := _out_file(args.out, "a")) is None:
+            return 1
+        fh.close()
+        if not existed:
+            os.remove(args.out)
     seed = args.seed if args.seed is not None else cfg.base_seed
     scenario = cfg.scenario
     channel = generate_channel(scenario, seed)

@@ -37,10 +37,10 @@ class SolverConfig:
     log_every: int = 0                # 0 disables the trace history
 
     def __post_init__(self):
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.delta <= 0 or self.tol_violation <= 0:
-            raise ValueError("delta and tol_violation must be positive")
+        for name in ("delta", "tol_violation") + (() if self.tau is None else ("tau",)):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name in ("max_iterations", "log_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
@@ -183,17 +183,15 @@ def _residuals(instance, x, y, z):
 def iterate(state, instance, dual, tau):
     """One full sweep with stepsize tau: proximal primal steps, extrapolated
     residuals, dual update."""
-    q = instance.q_tilde
     ht = instance.h_tilde
-    rho = instance.rho
     p_t = instance.power_budget
 
     x, y, z = state.x, state.y, state.z
     mu, om1, om2 = state.mu, state.omega1, state.omega2
 
-    x_t = x - tau * ((rho * mu)[:, None, None] * q + om1[None, :, :])
+    x_t = x - tau * (np.einsum("ik,jk->kij", ht * (instance.rho * mu), ht.conj()) + om1[None, :, :])
     x_new = prox_x(x_t, p_t)
-    y_t = y + tau * (np.tensordot(mu, q, axes=1) + om1 - om2)
+    y_t = y + tau * ((ht * mu) @ ht.conj().T + om1 - om2)
     y_new = prox_y(y_t, tau)
     z_t = z + tau * om2
     z_new = prox_z(z_t, tau, p_t, instance.n_tx, instance.n_users)

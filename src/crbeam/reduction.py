@@ -29,13 +29,11 @@ class ReducedInstance:
 
     u_tilde: Nt x K orthonormal basis of the channel range space.
     h_tilde: K x K projected channel, column k is q_k = u_tilde^H h_k.
-    q_tilde: (K, K, K) stack of rank-one matrices q_k q_k^H.
     rho:     per-user constants 1 + 1/threshold.
     """
 
     u_tilde: np.ndarray
     h_tilde: np.ndarray
-    q_tilde: np.ndarray
     rho: np.ndarray
     power_budget: float
     noise_power: float
@@ -44,7 +42,7 @@ class ReducedInstance:
 
     @property
     def channel_norms_sq(self):
-        """||h_k||^2 = tr(q_tilde_k)."""
+        """||h_k||^2 = ||q_k||^2, the squared column norms of h_tilde."""
         return np.einsum("ik,ik->k", self.h_tilde.conj(), self.h_tilde).real
 
     @property
@@ -63,8 +61,7 @@ class DualPrecompute:
     beta: float
     theta1: np.ndarray
     theta2: np.ndarray
-    l_matrix: np.ndarray
-    l_factor: np.ndarray   # lower Cholesky factor of l_matrix
+    l_factor: np.ndarray   # lower Cholesky factor F of the Schur matrix L = F F^T
 
 
 @dataclass(frozen=True)
@@ -89,12 +86,10 @@ def build_reduced(scenario, channel):
     channel = np.asarray(channel)
     u_tilde, _, _ = compact_svd(channel)
     h_tilde = u_tilde.conj().T @ channel
-    q_tilde = np.einsum("ik,jk->kij", h_tilde, h_tilde.conj())
     rho = 1.0 + 1.0 / np.asarray(scenario.sinr_thresholds, dtype=float)
     return ReducedInstance(
         u_tilde=u_tilde,
         h_tilde=h_tilde,
-        q_tilde=q_tilde,
         rho=rho,
         power_budget=float(scenario.power_budget),
         noise_power=float(scenario.noise_power),
@@ -107,7 +102,7 @@ def precompute_dual(instance, delta):
     """Assemble kappa, alpha, beta, Theta_1, Theta_2 and the Schur matrix L.
 
     L is the K x K Schur complement of the regularized dual normal matrix;
-    its Cholesky factor is cached and reused by every iteration.
+    only its Cholesky factor is kept, and every iteration reuses it.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -128,9 +123,9 @@ def precompute_dual(instance, delta):
         - np.outer(np.ones(k), rho1)
         + alpha * np.ones((k, k))
     )
-    l_matrix = delta * np.eye(k) + gram_abs2 * (np.diag(rho**2) + np.ones((k, k)) - kappa * p_matrix)
+    schur = delta * np.eye(k) + gram_abs2 * (np.diag(rho**2) + np.ones((k, k)) - kappa * p_matrix)
     try:
-        l_factor = np.linalg.cholesky(l_matrix)
+        l_factor = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedDual(f"Cholesky of L failed for delta={delta}: {exc}") from exc
     return DualPrecompute(
@@ -140,7 +135,6 @@ def precompute_dual(instance, delta):
         beta=float(beta),
         theta1=theta1,
         theta2=theta2,
-        l_matrix=l_matrix,
         l_factor=l_factor,
     )
 

@@ -1,10 +1,10 @@
 """Independent oracles for validating the solver.
 
 Nothing here shares code with the structured dual update it checks: the dense
-path materializes the full constraint operator and inverts the regularized
-normal matrix directly, the K=1 oracle takes the minimizer of the
-one-dimensional objective in closed form, and the KKT check fits multipliers
-numerically from a candidate solution.
+path forms each q_k q_k^H from the projected channel, materializes the full
+constraint operator and checks the structured inverse, rebuilt from the sweep's
+Cholesky factor, against the normal matrix; the K=1 oracle takes the minimizer
+in closed form, and the KKT check fits multipliers from a candidate solution.
 """
 
 from dataclasses import dataclass
@@ -46,8 +46,8 @@ def build_dense_system(instance, delta):
     m = k + 2 * k2
     n = k * k2 + 2 * k2
     d = np.zeros((m, n), dtype=complex)
-    for i in range(k):
-        q_vec = _vec(instance.q_tilde[i])
+    for i, q in enumerate(instance.h_tilde.T):
+        q_vec = _vec(np.outer(q, q.conj()))
         d[i, i * k2 : (i + 1) * k2] = instance.rho[i] * q_vec.conj()
         d[i, k * k2 : k * k2 + k2] = -q_vec.conj()
     eye = np.eye(k2)
@@ -109,15 +109,15 @@ def assemble_structured_inverse(instance, dual):
     """Materialize the block-form inverse of D D^H + delta I.
 
     Built purely from the cached scalars/diagonals (kappa, alpha, beta,
-    Theta_1, Theta_2) and the K x K Schur matrix L, so multiplying it against
-    the densely constructed normal matrix checks the structured dual update.
+    Theta_1, Theta_2) and L = F F^T of the sweep's Cholesky factor F, so its
+    product with the dense normal matrix checks the dual update and F.
     """
     k = instance.n_users
     k2 = k * k
-    b1 = -np.stack([_vec(instance.q_tilde[i]).conj() for i in range(k)])  # (K, K^2)
+    b1 = -np.stack([_vec(np.outer(q, q.conj())).conj() for q in instance.h_tilde.T])  # (K, K^2)
     v1 = dual.theta1[:, None] * b1
     v2 = dual.theta2[:, None] * b1
-    l_inv = np.linalg.inv(dual.l_matrix).astype(complex)
+    l_inv = np.linalg.inv(dual.l_factor @ dual.l_factor.T).astype(complex)
 
     eye = np.eye(k2)
     kap = dual.kappa

@@ -98,6 +98,18 @@ class TestConfig:
         assert main(["solve", "--config", str(p)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["tau", "delta", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_solver_setting_is_config_error(self, tmp_path, capsys, name, value):
+        """json reads NaN and Infinity; neither may reach the solver, where a
+        NaN tol never stops and an infinite one stops at once."""
+        p = write_config(tmp_path / "c.json", max_iters=50, **{name: value})
+        assert main(["solve", "--config", str(p), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("config error:") and "must be finite and positive" in line
+
     @pytest.mark.parametrize("document", [
         {"n_tx": 8, "n_users": 2, "sweep": {"parameter": "K", "values": "ab"}},
         5,
@@ -265,13 +277,28 @@ class TestSolveCommand:
         assert doc["schema_version"] == 2
         assert doc["objective"] is None
 
-    def test_unwritable_out(self, tmp_path, capsys):
+    def test_unwritable_out(self, tmp_path, capsys, monkeypatch):
+        """An unwritable --out is found before the solve, which never runs."""
+        def no_solve(*args):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(crbeam.cli, "solve_scenario", no_solve)
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "missing" / "sol.json"
         assert main(["solve", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"cannot write {out}: No such file or directory"]
-        assert "solution written" not in captured.out
+        assert captured.out == ""
+
+    def test_solve_failure_keeps_existing_out(self, tmp_path, capsys, monkeypatch):
+        """The --out probe before the solve truncates no existing document."""
+        solve_raises(monkeypatch)
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "sol.json"
+        out.write_text("earlier document")
+        assert main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 4
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == "earlier document"
 
     def test_solve_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         solve_raises(monkeypatch)

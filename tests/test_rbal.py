@@ -281,6 +281,13 @@ def test_config_validation_iteration_counts(name, value):
     assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
 
 
+@pytest.mark.parametrize("name", ["tau", "delta", "tol_violation"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_validation_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        SolverConfig(**{name: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tau=-1.0)

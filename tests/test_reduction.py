@@ -9,7 +9,7 @@ from crbeam.reduction import (
     IllConditionedDual, ReducedInstance, build_reduced, check_degenerate, precompute_dual,
 )
 from crbeam.scenario import Scenario, evaluate_crb_objective, generate_channel
-from crbeam.verification import kkt_residuals, scalar_oracle_k1
+from crbeam.verification import build_dense_system, kkt_residuals, scalar_oracle_k1
 from conftest import constrained_instance, make_scenario, random_psd
 
 
@@ -21,15 +21,16 @@ class TestBuildReduced:
         for k in range(3):
             expect = np.zeros((3, 3))
             expect[k, k] = 1.0
-            assert np.allclose(inst.q_tilde[k], expect, atol=1e-12)
+            q = inst.h_tilde[:, k]
+            assert np.allclose(np.outer(q, q.conj()), expect, atol=1e-12)
         assert np.allclose(np.abs(inst.h_tilde), np.eye(3), atol=1e-12)
 
     def test_single_user_scalar(self):
         sc = make_scenario(4, 1)
         h = np.array([[1.0], [1.0], [0.0], [0.0]], dtype=complex)
         inst = build_reduced(sc, h)
-        assert inst.q_tilde.shape == (1, 1, 1)
-        assert inst.q_tilde[0, 0, 0] == pytest.approx(2.0, rel=1e-12)
+        assert inst.h_tilde.shape == (1, 1)
+        assert abs(inst.h_tilde[0, 0]) ** 2 == pytest.approx(2.0, rel=1e-12)
         assert inst.rho[0] == pytest.approx(1.1, rel=1e-12)
 
     def test_trace_and_rank_one_identities(self):
@@ -40,7 +41,7 @@ class TestBuildReduced:
         rng = np.random.default_rng(0)
         m = random_psd(rng, 4)
         for k in range(4):
-            q = inst.q_tilde[k]
+            q = np.outer(inst.h_tilde[:, k], inst.h_tilde[:, k].conj())
             assert np.trace(q).real == pytest.approx(norms_sq[k], rel=1e-10)
             eigs = np.linalg.eigvalsh(q)
             assert eigs[-1] > 0 and np.all(eigs[:-1] < 1e-12 * eigs[-1])
@@ -87,12 +88,15 @@ class TestPrecomputeDual:
         assert dual.theta2 == pytest.approx(np.full(8, kappa * (9.0001 - 2.1)), rel=1e-12)
 
     def test_l_matrix_spd_and_real(self):
+        """L is kept only as its Cholesky factor: real, lower-triangular,
+        positive diagonal, so F F^T is symmetric positive definite."""
         sc = make_scenario(16, 5)
         h = generate_channel(sc, 4)
         dual = precompute_dual(build_reduced(sc, h), delta=1e-4)
-        assert np.allclose(dual.l_matrix, dual.l_matrix.T)
-        assert np.linalg.eigvalsh(dual.l_matrix)[0] > 0
-        assert np.isrealobj(dual.l_matrix)
+        ell = dual.l_factor
+        assert np.isrealobj(ell)
+        assert np.array_equal(ell, np.tril(ell))
+        assert np.all(np.diag(ell) > 0)
 
     def test_delta_validation(self):
         sc = make_scenario(8, 2)
@@ -102,11 +106,18 @@ class TestPrecomputeDual:
 
     @pytest.mark.parametrize("n_tx, n_users", [(64, 8), (12, 3)])
     def test_l_factor_reproduces_l_matrix(self, n_tx, n_users):
+        """F F^T is the Schur complement A - B C^-1 B^H of the dense normal
+        matrix D D^H + delta I, with A its leading K x K block."""
         sc = make_scenario(n_tx, n_users)
-        dual = precompute_dual(build_reduced(sc, generate_channel(sc, 1)), delta=1e-4)
+        inst = build_reduced(sc, generate_channel(sc, 1))
+        dual = precompute_dual(inst, delta=1e-4)
+        normal = build_dense_system(inst, 1e-4).normal
+        k = n_users
+        a, b, c = normal[:k, :k], normal[:k, k:], normal[k:, k:]
+        schur = a - b @ np.linalg.solve(c, b.conj().T)
         ell = dual.l_factor
         assert np.array_equal(ell, np.tril(ell))
-        err = np.linalg.norm(ell @ ell.T - dual.l_matrix) / np.linalg.norm(dual.l_matrix)
+        err = np.linalg.norm(ell @ ell.T - schur) / np.linalg.norm(schur)
         assert err <= 1e-13
 
     def test_failed_cholesky_is_ill_conditioned_dual(self, monkeypatch):
@@ -224,7 +235,6 @@ def test_solver_invariant_to_basis_choice(solved_k3):
     rotated = ReducedInstance(
         u_tilde=inst.u_tilde @ q,
         h_tilde=q.conj().T @ inst.h_tilde,
-        q_tilde=np.einsum("ij,kjl,lm->kim", q.conj().T, inst.q_tilde, q),
         rho=inst.rho,
         power_budget=inst.power_budget,
         noise_power=inst.noise_power,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from crbeam.rbal import prox_z
 from crbeam.recovery import BeamformingSolution
 from crbeam.reduction import build_reduced, precompute_dual
 from crbeam.scenario import Scenario, generate_channel
-from crbeam.verification import build_dense_system, kkt_residuals, scalar_oracle_k1
+from crbeam.verification import build_dense_system, dense_dual_inverse_check, kkt_residuals, scalar_oracle_k1
 from crbeam.verify_suite import (
     degenerate_witness_residual,
     dual_inverse_error,
@@ -28,7 +30,7 @@ class TestDenseSystem:
         k = 2
         assert dense.d.shape == (k + 2 * k**2, k**3 + 2 * k**2)
         # SINR row k holds rho_k vec(Q_k)^H on its own block and -vec(Q_k)^H on y
-        q0 = inst.q_tilde[0].reshape(-1, order="F")
+        q0 = np.outer(inst.h_tilde[:, 0], inst.h_tilde[:, 0].conj()).reshape(-1, order="F")
         assert np.allclose(dense.d[0, : k**2], inst.rho[0] * q0.conj())
         assert np.allclose(dense.d[0, k**3 : k**3 + k**2], -q0.conj())
         assert np.allclose(dense.b[:k], sc.noise_power)
@@ -47,6 +49,16 @@ class TestDenseSystem:
     def test_structured_inverse_matches_dense(self):
         for k, delta, bound in [(1, 1e-4, 1e-10), (3, 1e-4, 1e-8), (2, 1e-2, 1e-10)]:
             assert dual_inverse_error(k, delta) < bound
+
+    def test_perturbed_factor_is_caught(self):
+        # negative control: the check reads the Cholesky factor the sweep
+        # solves with, so scaling it by 1 + 1e-3 must show (8.1e-3 measured)
+        sc = make_scenario(12, 3)
+        inst = build_reduced(sc, generate_channel(sc, 11))
+        dual = precompute_dual(inst, 1e-4)
+        assert dense_dual_inverse_check(inst, dual) < 1e-12
+        perturbed = replace(dual, l_factor=np.tril(dual.l_factor) * (1.0 + 1e-3))
+        assert dense_dual_inverse_check(inst, perturbed) >= 1e-3
 
 
 class TestTrajectoryEquivalence:
