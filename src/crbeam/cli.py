@@ -10,7 +10,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -152,6 +152,17 @@ def _out_file(path, mode="w", **kwargs):
         return None
 
 
+def _probe_out(path):
+    """Whether `path` can be written. Appending truncates nothing, and a file the
+    probe made (a dangling link's target, too) is removed, so a failed run leaves none."""
+    made = not os.path.exists(path)  # follows links
+    if (fh := _out_file(path, "a")) is not None:
+        fh.close()
+        if made:
+            os.remove(os.path.realpath(path))
+    return fh is not None
+
+
 def result_row(result, scenario, trial="", seed=""):
     """(ResultRow, status) of one PipelineResult: the one place that reads it.
 
@@ -223,13 +234,8 @@ def solution_json(result, row, scenario):
 
 def cmd_solve(args):
     cfg = load_config(args.config)
-    if args.out:  # probed before the solve: appending truncates nothing, and a new file is removed
-        existed = os.path.lexists(args.out)
-        if (fh := _out_file(args.out, "a")) is None:
-            return 1
-        fh.close()
-        if not existed:
-            os.remove(args.out)
+    if args.out and not _probe_out(args.out):
+        return 1
     seed = args.seed if args.seed is not None else cfg.base_seed
     scenario = cfg.scenario
     channel = generate_channel(scenario, seed)
@@ -288,33 +294,27 @@ def cmd_sweep(args):
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a 'sweep' section in the config")
     param = cfg.sweep["parameter"]
-    if (fh := _out_file(args.out, newline="", encoding="utf-8")) is None:  # found before any trial runs
+    if not _probe_out(args.out):
         return 1
     rows, statuses, aggregates = [], [], []
+    for value, scenario in cfg.sweep_scenarios.items():
+        results = [run_trial(cfg, scenario, t) for t in range(cfg.trials)]
+        rows.extend(row for row, _ in results)
+        point = [status for _, status in results]
+        statuses.extend(point)
+        solved = [row for row, status in results if status in ("converged", ISOTROPIC)]
+        if solved:
+            for name, stat in (("mean", np.mean), ("median", np.median)):
+                values = [float(stat([getattr(g, col) for g in solved]))
+                          for col in ("crb_objective", "iterations", "setup_seconds", "iter_seconds_total")]
+                aggregates.append(ResultRow(name, "", scenario.n_tx, scenario.n_users, True, "", *values, "", ""))
+        print(f"{param}={value}: {len(solved)}/{len(results)} trials solved, "
+              f"{point.count('iteration_cap')} stopped at iteration_cap, {point.count('failed')} failed",
+              file=sys.stderr)
+    if (fh := _out_file(args.out, newline="", encoding="utf-8")) is None:
+        return 1
     with fh:
-        for value, scenario in cfg.sweep_scenarios.items():
-            n_tx, n_users = scenario.n_tx, scenario.n_users
-            results = [run_trial(cfg, scenario, t) for t in range(cfg.trials)]
-            rows.extend(row for row, _ in results)
-            point = [status for _, status in results]
-            statuses.extend(point)
-            solved = [row for row, status in results if status in ("converged", ISOTROPIC)]
-            if solved:
-                for name, stat in (("mean", np.mean), ("median", np.median)):
-                    objective, iterations, setup, runtime = (
-                        float(stat([getattr(g, col) for g in solved]))
-                        for col in ("crb_objective", "iterations", "setup_seconds", "iter_seconds_total")
-                    )
-                    aggregates.append(ResultRow(
-                        name, "", n_tx, n_users, True, "", objective, iterations, setup, runtime, "", "",
-                    ))
-            print(f"{param}={value}: {len(solved)}/{len(results)} trials solved, "
-                  f"{point.count('iteration_cap')} stopped at iteration_cap, {point.count('failed')} failed",
-                  file=sys.stderr)
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows + aggregates:
-            writer.writerow([getattr(row, col) for col in RESULT_COLUMNS])
+        csv.writer(fh).writerows([RESULT_COLUMNS] + [astuple(row) for row in rows + aggregates])
     print(f"wrote {len(rows)} trial rows + {len(aggregates)} aggregate rows to {args.out}")
     return 4 if "failed" in statuses else 3 if "iteration_cap" in statuses else 0
 

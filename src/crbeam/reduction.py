@@ -104,8 +104,8 @@ def precompute_dual(instance, delta):
     L is the K x K Schur complement of the regularized dual normal matrix;
     only its Cholesky factor is kept, and every iteration reuses it.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:  # NaN fails every comparison
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     rho = instance.rho
     k = instance.n_users
     gram_abs2 = np.abs(instance.gram) ** 2

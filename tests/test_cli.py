@@ -311,6 +311,18 @@ class TestSolveCommand:
         assert not out.exists()
 
 
+    def test_solve_failure_through_dangling_link(self, tmp_path, capsys, monkeypatch):
+        """A probe through a dangling link makes the link's target; a solve
+        that raises leaves no target behind, and the link as it was."""
+        solve_raises(monkeypatch)
+        cfg = write_config(tmp_path / "c.json")
+        out, target = tmp_path / "sol.json", tmp_path / "target.json"
+        out.symlink_to(target)
+        assert main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 4
+        assert capsys.readouterr().out == ""
+        assert out.is_symlink() and not target.exists()
+
+
 class TestSweepCommand:
     def sweep_config(self, tmp_path):
         return write_config(
@@ -392,6 +404,20 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"cannot write {out}: No such file or directory"]
         assert captured.out == ""
+
+    def test_interrupted_sweep_keeps_existing_out(self, tmp_path, capsys, monkeypatch):
+        """The CSV is written after the last trial, so a sweep stopped
+        mid-trial leaves an earlier CSV as it was."""
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(crbeam.cli, "solve_scenario", interrupt)
+        cfg = self.sweep_config(tmp_path)
+        out = tmp_path / "rows.csv"
+        out.write_text("earlier rows")
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert out.read_text() == "earlier rows"
 
     def test_sweep_requires_sweep_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")

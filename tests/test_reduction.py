@@ -101,8 +101,9 @@ class TestPrecomputeDual:
     def test_delta_validation(self):
         sc = make_scenario(8, 2)
         inst = build_reduced(sc, generate_channel(sc, 0))
-        with pytest.raises(ValueError):
-            precompute_dual(inst, delta=0.0)
+        for delta in (0.0, -1e-4, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="delta must be finite and positive"):
+                precompute_dual(inst, delta=delta)
 
     @pytest.mark.parametrize("n_tx, n_users", [(64, 8), (12, 3)])
     def test_l_factor_reproduces_l_matrix(self, n_tx, n_users):
