@@ -13,7 +13,8 @@ and q_k is the uplink MMSE gain of user k.  The Jacobian is closed form,
     dT_k / dlambda_j = |A_kj|^2 / (rho_k * q_k^2),
 
 so Newton's method reaches the fixed point in a handful of K x K solves.
-All work here is K x K regardless of the antenna count.
+Only forming G from the Nt x K channel, and by default the rank check's SVD,
+touch Nt: O(Nt K^2) work; the Newton steps are K x K.
 """
 
 from dataclasses import dataclass

@@ -1,7 +1,7 @@
 """Complex Hermitian matrix primitives and scalar root finders.
 
-Everything downstream treats these as given: compact SVD with an explicit
-rank check, orthonormal null-space bases, the closed-form positive cubic root
+Everything downstream treats these as given: compact SVD and orthonormal
+null-space bases under one rank check, the closed-form positive cubic root
 behind prox_y and prox_z (Cardano or trigonometric by branch, then one Newton
 polish), and a bisection root finder for monotone scalar functions.
 """
@@ -19,38 +19,38 @@ class InvalidBracket(Exception):
     """Root bracket does not straddle a sign change."""
 
 
+def _check_rank(s):
+    """Raise RankDeficientChannel when min(s) < RANK_TOL max(s), s sorted descending."""
+    if s[-1] < RANK_TOL * s[0]:
+        raise RankDeficientChannel(f"smallest singular value {s[-1]:.3e} < {RANK_TOL:.0e} * {s[0]:.3e}")
+
+
 def compact_svd(m):
     """Compact SVD of a tall full-column-rank matrix.
 
     Returns (left_basis, singular_values, right_vh) with
-    m = left_basis @ diag(s) @ right_vh.  Raises RankDeficientChannel when
-    the smallest singular value falls below RANK_TOL times the largest.
+    m = left_basis @ diag(s) @ right_vh.  Raises RankDeficientChannel by _check_rank.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         raise ValueError("expected a tall (rows >= cols) matrix")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s[-1] < RANK_TOL * s[0]:
-        raise RankDeficientChannel(
-            f"smallest singular value {s[-1]:.3e} < {RANK_TOL:.0e} * {s[0]:.3e}"
-        )
+    _check_rank(s)
     return u, s, vh
 
 
 def null_space_basis(m):
     """Orthonormal basis of the null space of m^H for a tall Nt x K matrix.
 
-    The returned Nt x (Nt - K) matrix U satisfies m^H @ U = 0.
+    The returned Nt x (Nt - K) matrix U satisfies m^H @ U = 0.  Raises
+    RankDeficientChannel by _check_rank.
     """
     m = np.asarray(m)
     n_rows, n_cols = m.shape
     if n_rows <= n_cols:
         raise ValueError("null space of m^H is trivial unless rows > cols")
     u, s, _ = np.linalg.svd(m, full_matrices=True)
-    if s[-1] < RANK_TOL * s[0]:
-        raise RankDeficientChannel(
-            f"smallest singular value {s[-1]:.3e} < {RANK_TOL:.0e} * {s[0]:.3e}"
-        )
+    _check_rank(s)
     return u[:, n_cols:]
 
 

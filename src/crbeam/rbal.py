@@ -82,6 +82,12 @@ def _water_level(eigs, budget):
     return levels[keep]
 
 
+def _spectral_step(m, eig_map):
+    """V eig_map(L) V^H for Hermitian m = V L V^H; on a stack, eig_map sees every L at once."""
+    w, v = np.linalg.eigh(m)
+    return (v * eig_map(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def prox_x(x_tilde, power_budget):
     """Joint projection of the K blocks onto the PSD cone with a shared trace budget.
 
@@ -89,17 +95,12 @@ def prox_x(x_tilde, power_budget):
     level gamma/2, the smallest nonnegative level that brings the total
     positive mass within the budget.
     """
-    w, v = np.linalg.eigh(x_tilde)
-    level = _water_level(w.ravel(), power_budget)
-    clipped = np.maximum(w - level, 0.0)
-    return np.einsum("kij,kj,klj->kil", v, clipped, v.conj())
+    return _spectral_step(x_tilde, lambda w: np.maximum(w - _water_level(w.ravel(), power_budget), 0.0))
 
 
 def prox_y(y_tilde, tau):
     """Proximal map of tr(Y^-1): each eigenvalue solves x^3 - s x^2 - tau = 0."""
-    w, v = np.linalg.eigh(y_tilde)
-    roots = positive_cubic_root(w, np.full_like(w, tau))
-    return (v * roots[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return _spectral_step(y_tilde, lambda w: positive_cubic_root(w, tau))
 
 
 def _z_shrink_level(eigs, tau, budget, null_dim):
@@ -128,10 +129,8 @@ def prox_z(z_tilde, tau, power_budget, n_tx, n_users):
     above; the result always satisfies tr(Z) < P_T because
     P_T - tr(Z) = (Nt - K) sqrt(tau / lam) at the root.
     """
-    w, v = np.linalg.eigh(z_tilde)
-    level = _z_shrink_level(w, tau, power_budget, n_tx - n_users)
-    clipped = np.maximum(w - level, 0.0)
-    return (v * clipped[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    null_dim = n_tx - n_users
+    return _spectral_step(z_tilde, lambda w: np.maximum(w - _z_shrink_level(w, tau, power_budget, null_dim), 0.0))
 
 
 def _quad_per_user(h_tilde, x_stack):
@@ -158,7 +157,8 @@ def default_stepsize(instance):
 
 
 def initial_state(instance, p_low):
-    """Isotropic interior start: X_k = (p0 / K^2) I with p0 = min(P_T, 2 p_low)."""
+    """Isotropic start X_k = (p0 / K^2) I with p0 = min(P_T, 2 p_low): interior when
+    P_T > 2 p_low, else it spends the whole budget (tr Z = P_T, objective inf)."""
     k = instance.n_users
     p0 = min(instance.power_budget, 2.0 * p_low)
     x = (p0 / k**2) * np.broadcast_to(np.eye(k, dtype=complex), (k, k, k))
@@ -221,10 +221,11 @@ def constraint_violation(state, instance):
 
 
 def objective_value(state, instance):
-    """tr(Y^-1) + (Nt-K)^2 / (P_T - tr Z) at the current iterates."""
-    y_eigs = np.linalg.eigvalsh(state.y)
-    head = float(np.sum(1.0 / y_eigs))
+    """tr(Y^-1) + (Nt-K)^2 / (P_T - tr Z) at the current iterates; inf once tr Z >= P_T."""
     slack = instance.power_budget - float(np.trace(state.z).real)
+    if slack <= 0.0:
+        return np.inf
+    head = float(np.sum(1.0 / np.linalg.eigvalsh(state.y)))
     return head + (instance.n_tx - instance.n_users) ** 2 / slack
 
 

@@ -45,11 +45,6 @@ class ReducedInstance:
         """||h_k||^2 = ||q_k||^2, the squared column norms of h_tilde."""
         return np.einsum("ik,ik->k", self.h_tilde.conj(), self.h_tilde).real
 
-    @property
-    def gram(self):
-        """K x K channel Gram matrix H^H H = h_tilde^H h_tilde."""
-        return self.h_tilde.conj().T @ self.h_tilde
-
 
 @dataclass(frozen=True)
 class DualPrecompute:
@@ -108,7 +103,7 @@ def precompute_dual(instance, delta):
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     rho = instance.rho
     k = instance.n_users
-    gram_abs2 = np.abs(instance.gram) ** 2
+    gram_abs2 = np.abs(instance.h_tilde.conj().T @ instance.h_tilde) ** 2  # |H^H H|^2 entrywise
 
     alpha = k + 1.0 + delta
     beta = delta + 2.0
@@ -117,12 +112,7 @@ def precompute_dual(instance, delta):
     theta2 = kappa * (alpha - rho - 1.0)
 
     rho1 = rho + 1.0
-    p_matrix = (
-        beta * np.outer(rho1, rho1)
-        - np.outer(rho1, np.ones(k))
-        - np.outer(np.ones(k), rho1)
-        + alpha * np.ones((k, k))
-    )
+    p_matrix = beta * np.outer(rho1, rho1) - rho1[:, None] - rho1[None, :] + alpha
     schur = delta * np.eye(k) + gram_abs2 * (np.diag(rho**2) + np.ones((k, k)) - kappa * p_matrix)
     try:
         l_factor = np.linalg.cholesky(schur)

@@ -277,6 +277,17 @@ class TestSolveCommand:
         assert doc["schema_version"] == 2
         assert doc["objective"] is None
 
+    def test_spent_budget_start_exits_cap(self, tmp_path, capsys):
+        """8x2 at 7 dBm is under 2 p_low, so the start spends all of P_T: with no
+        sweep the answer's objective is inf, reported with exit 3, not a crash."""
+        cfg = write_config(tmp_path / "c.json", p_t_dbm=7.0, max_iters=0)
+        doc_path = tmp_path / "sol.json"
+        code = main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(doc_path)])
+        captured = capsys.readouterr()
+        assert code == 3, captured.err
+        assert "objective tr(R^-1): inf" in captured.out
+        assert json.loads(doc_path.read_text())["objective"] is None
+
     def test_unwritable_out(self, tmp_path, capsys, monkeypatch):
         """An unwritable --out is found before the solve, which never runs."""
         def no_solve(*args):

@@ -66,6 +66,11 @@ class TestNullSpaceBasis:
         assert np.max(np.abs(basis.conj().T @ basis - np.eye(4))) < 1e-10
         assert np.max(np.abs(m.conj().T @ basis)) < 1e-10 * np.linalg.norm(m)
 
+    def test_rank_deficient_raises(self):
+        m = np.ones((6, 2), dtype=complex)
+        with pytest.raises(RankDeficientChannel):
+            null_space_basis(m)
+
 
 class TestPositiveCubicRoot:
     def test_pure_cube(self):

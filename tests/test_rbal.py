@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,6 +273,24 @@ class TestSolve:
             inst.power_budget - np.trace(state.z).real
         )
         assert objective_value(state, inst) == pytest.approx(expect, rel=1e-12)
+
+    def test_spent_budget_start_objective(self):
+        """At P_T <= 2 p_low the start spends the whole budget, so P_T - tr Z is
+        0 up to rounding: the objective reads inf or a large positive value,
+        never a division by zero or a negative value."""
+        from crbeam.pipeline import solve_scenario
+
+        for k in (2, 3, 4, 8):
+            for seed in range(5):
+                for factor in np.linspace(1.1, 2.0, 5):
+                    scenario, channel = constrained_instance(4 * k, k, seed, factor=factor)
+                    result = solve_scenario(scenario, channel, SolverConfig(max_iterations=0))
+                    assert result.solve_report.objective >= 0.0, (k, seed, factor)
+                    assert result.solution.objective >= 0.0, (k, seed, factor)
+        # tr Z just past P_T reads inf too, not a large negative value
+        inst = build_reduced(*constrained_instance(8, 2, seed=0))
+        state = initial_state(inst, p_low=inst.power_budget)
+        assert objective_value(replace(state, z=state.z * (1.0 + 1e-12)), inst) == np.inf
 
 
 @pytest.mark.parametrize("name", ["max_iterations", "log_every"])
