@@ -1,14 +1,15 @@
 """Complex Hermitian matrix primitives and scalar root finders.
 
-Everything downstream treats these as given: compact SVD and orthonormal
-null-space bases under one rank check, the closed-form positive cubic root
-behind prox_y and prox_z (Cardano or trigonometric by branch, then one Newton
-polish), and a bisection root finder for monotone scalar functions.
+Everything downstream treats these as given: compact SVD and null-space bases
+under one rank check, tr(R^-1) under one singularity rule, the closed-form
+positive cubic root behind prox_y and prox_z (Cardano or trigonometric by
+branch, then one Newton polish), and a bisection root for monotone functions.
 """
 
 import numpy as np
 
 RANK_TOL = 1e-10
+COND_TOL = 1e-12  # trace_inverse: lambda_min <= COND_TOL * lambda_max is singular
 
 
 class RankDeficientChannel(Exception):
@@ -52,6 +53,17 @@ def null_space_basis(m):
     u, s, _ = np.linalg.svd(m, full_matrices=True)
     _check_rank(s)
     return u[:, n_cols:]
+
+
+def trace_inverse(eigs, theta=0.0, null_dim=0):
+    """Sum of 1/lambda over the eigenvalues `eigs` and `theta` of multiplicity `null_dim`
+    (for R = U Y U^H + theta P_null: eig(Y), theta, Nt - K), i.e. tr(R^-1); inf when
+    lambda_min <= COND_TOL * lambda_max, which includes any lambda <= 0."""
+    spectrum = np.append(eigs, theta) if null_dim else eigs
+    if spectrum.min() <= COND_TOL * spectrum.max():
+        return np.inf
+    head = float(np.sum(1.0 / eigs))
+    return head + null_dim / theta if null_dim else head
 
 
 def positive_cubic_root(sigma, tau):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # monotone_scalar_root is unused here; perfbench's tracer wraps it by this name
-from .linalg import monotone_scalar_root, positive_cubic_root  # noqa: F401
+from .linalg import monotone_scalar_root, positive_cubic_root, trace_inverse  # noqa: F401
 
 
 class NumericalDivergence(Exception):
@@ -221,12 +221,10 @@ def constraint_violation(state, instance):
 
 
 def objective_value(state, instance):
-    """tr(Y^-1) + (Nt-K)^2 / (P_T - tr Z) at the current iterates; inf once tr Z >= P_T."""
-    slack = instance.power_budget - float(np.trace(state.z).real)
-    if slack <= 0.0:
-        return np.inf
-    head = float(np.sum(1.0 / np.linalg.eigvalsh(state.y)))
-    return head + (instance.n_tx - instance.n_users) ** 2 / slack
+    """tr(Y^-1) + (Nt-K)^2 / (P_T - tr Z): trace_inverse of eig(Y) and theta = (P_T - tr Z) / (Nt-K)."""
+    null_dim = instance.n_tx - instance.n_users
+    theta = (instance.power_budget - float(np.trace(state.z).real)) / null_dim
+    return trace_inverse(np.linalg.eigvalsh(state.y), theta, null_dim)
 
 
 def solve(instance, dual, config, init):

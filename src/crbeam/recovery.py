@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # null_space_basis is unused here; perfbench's tracer wraps it by this name
-from .linalg import null_space_basis  # noqa: F401
+from .linalg import null_space_basis, trace_inverse  # noqa: F401
 from .scenario import evaluate_sinr
 
 NEG_TOL = 1e-8  # sensing_factor: an eigenvalue below -NEG_TOL * tr(R) is not PSD
@@ -43,7 +43,7 @@ class BeamformingSolution:
     m: np.ndarray                 # K x K range block of sensing_cov - theta I
     theta: float                  # null-space level: sensing_cov = U M U^H + theta I
     sensing_factor: np.ndarray    # Nt x r, F F^H = sensing_cov
-    objective: float              # tr(full_cov^-1); inf when theta = 0
+    objective: float              # tr(full_cov^-1); inf when full_cov is singular
     sinr: np.ndarray
 
     @property
@@ -75,7 +75,7 @@ def range_solution(instance, v, total, theta):
     `v` holds the beamformers in the range basis (w = U v), `total` is the
     K x K range block of the total covariance and `theta >= 0` its null-space
     level.  The objective tr(R^-1) = sum 1/eig(total) + (Nt - K) / theta is
-    read off the K x K block (inf when theta = 0: R is then singular), and
+    read off the K x K block by `trace_inverse` (inf when R is singular), and
     the SINRs are computed in the range basis, exact because every channel is
     h_k = U q_k.  The dense sensing covariance is built once, for its factor;
     the answer derives `w`, `sensing_cov` and `full_cov` on access.
@@ -85,18 +85,11 @@ def range_solution(instance, v, total, theta):
     # total - theta I is exactly zero for the isotropic witness (total = theta I)
     m = total - theta * np.eye(k) - v @ v.conj().T
     power = float(np.trace(total).real) + (n_tx - k) * theta  # tr R
-    if theta > 0:
-        objective = float(np.sum(1.0 / np.linalg.eigvalsh(total))) + (n_tx - k) / theta
-    else:
-        objective = np.inf
     return BeamformingSolution(
-        v=v,
-        u_tilde=u,
-        m=m,
-        theta=theta,
+        v=v, u_tilde=u, m=m, theta=theta,
         # the dense covariance lives only inside sensing_factor, which frees it
         sensing_factor=sensing_factor(_dense_sensing(u, m, theta), power),
-        objective=objective,
+        objective=trace_inverse(np.linalg.eigvalsh(total), theta, n_tx - k),
         sinr=evaluate_sinr(instance.h_tilde, v, m + theta * np.eye(k), instance.noise_power),
     )
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-COND_TOL = 1e-12  # evaluate_crb_objective: lambda_min <= COND_TOL * lambda_max is singular
+from .linalg import COND_TOL, trace_inverse
 
 
 class SingularCovariance(Exception):
@@ -81,8 +81,8 @@ def evaluate_sinr(channel, beamformers, sensing_cov, noise):
 
 
 def evaluate_crb_objective(cov):
-    """tr(cov^-1) for a positive definite Hermitian covariance."""
+    """tr(cov^-1) for a Hermitian covariance; SingularCovariance where trace_inverse reads inf."""
     eigs = np.linalg.eigvalsh(cov)
-    if eigs[0] <= COND_TOL * eigs[-1]:
+    if (objective := trace_inverse(eigs)) == np.inf:
         raise SingularCovariance(f"min eigenvalue {eigs[0]:.3e} <= {COND_TOL:.0e} * {eigs[-1]:.3e}")
-    return float(np.sum(1.0 / eigs))
+    return objective

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import null_space_basis
+from .linalg import null_space_basis, trace_inverse
 from .rbal import SolverState, prox_x, prox_y, prox_z
 
 
@@ -169,12 +169,12 @@ def kkt_residuals(sol, scenario, channel):
 
     Recovers omega from the null-space eigenvalue of the total covariance and
     the SINR multipliers by least squares on the stationarity equations, then
-    reports relative residuals: stationarity, PSD margins of the implied dual
-    slacks, complementary slackness, and primal feasibility.  Every dual
-    quantity, the multipliers included, is relative to the stationarity scale
-    1/lambda_min(R)^2 + omega, so multipliers that vanish at an isotropic
-    optimum read as ~0 rather than as +-1.  Diagnostics only; never raises on
-    a bad solution.
+    reports tr(R^-1) ("objective") and relative residuals: stationarity, PSD
+    margins of the implied dual slacks, complementary slackness, primal
+    feasibility.  Every dual quantity, the multipliers included, is relative
+    to the stationarity scale 1/lambda_min(R)^2 + omega, so multipliers that
+    vanish at an isotropic optimum read as ~0 rather than as +-1.
+    Diagnostics only; never raises on a bad solution.
     """
     h = np.asarray(channel)
     n_tx, k = h.shape
@@ -230,6 +230,7 @@ def kkt_residuals(sol, scenario, channel):
     power = float(np.trace(full).real)
 
     return {
+        "objective": trace_inverse(eigs),
         "omega": omega,
         "mu": mu,
         "stationarity": float(stationarity),

@@ -1,9 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from crbeam.feasibility import compute_p_low
-from crbeam.pipeline import solve_scenario
-from crbeam.scenario import Scenario, generate_channel
+# one BLAS thread, as CI and perfbench run: unpinned, a 1024 x 8 SVD can take
+# ~100x longer on a 2-vCPU machine.  numpy reads these when it is first imported.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from crbeam.feasibility import compute_p_low  # noqa: E402
+from crbeam.pipeline import solve_scenario  # noqa: E402
+from crbeam.scenario import Scenario, generate_channel  # noqa: E402
 
 
 def make_scenario(n_tx, n_users, power=100.0, gamma=10.0, noise=1.0):

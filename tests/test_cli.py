@@ -11,7 +11,7 @@ from crbeam.cli import ConfigError, RESULT_COLUMNS, load_config, main
 from crbeam.feasibility import compute_p_low
 from crbeam.pipeline import PipelineResult
 from crbeam.rbal import SolveReport
-from crbeam.recovery import NotPSD, extract_rank_one
+from crbeam.recovery import BeamformingSolution, NotPSD, extract_rank_one
 from crbeam.reduction import build_reduced
 
 KKT_ROWS = ["kkt_stationarity", "kkt_theta_psd_margin", "kkt_complementarity", "kkt_primal_sinr", "kkt_primal_power"]
@@ -230,6 +230,19 @@ class TestSolveCommand:
         for key in KKT_ROWS + ["objective_gap"]:
             assert f"  {key}: " in out
 
+    def test_full_check_decomposes_r_once(self, tmp_path, capsys, monkeypatch):
+        """--full-check reads the dense tr(R^-1) off kkt_residuals' eigendecomposition:
+        R is built once, for that one decomposition, and the gap is at rounding level."""
+        builds = []
+        full_cov = BeamformingSolution.full_cov
+        monkeypatch.setattr(BeamformingSolution, "full_cov", property(lambda sol: builds.append(1) or full_cov.fget(sol)))
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["solve", "--config", str(cfg), "--seed", "3", "--full-check"]) == 0
+        assert len(builds) == 1
+        gap = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  objective_gap: ")]
+        assert len(gap) == 1
+        assert abs(float(gap[0].split()[1])) <= 1e-9
+
     def test_default_report_runs_no_check(self, tmp_path, capsys, monkeypatch):
         """Without --full-check, solve prints what the answer carries and
         does no dense work after the solve."""
@@ -238,8 +251,7 @@ class TestSolveCommand:
 
         for module in (crbeam.cli, crbeam.verification):
             monkeypatch.setattr(module, "kkt_residuals", dense_check)
-        for module in (crbeam.cli, crbeam.scenario):
-            monkeypatch.setattr(module, "evaluate_crb_objective", dense_check)
+        monkeypatch.setattr(crbeam.scenario, "evaluate_crb_objective", dense_check)
         cfg = write_config(tmp_path / "c.json")
         assert main(["solve", "--config", str(cfg), "--seed", "3"]) == 0
         out = capsys.readouterr().out

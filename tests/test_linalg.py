@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crbeam.linalg import (
+    COND_TOL,
     InvalidBracket,
     RankDeficientChannel,
     compact_svd,
     monotone_scalar_root,
     null_space_basis,
     positive_cubic_root,
+    trace_inverse,
 )
 
 
@@ -149,3 +151,33 @@ class TestMonotoneScalarRoot:
     def test_invalid_bracket(self):
         with pytest.raises(InvalidBracket):
             monotone_scalar_root(lambda x: x + 10.0, 0.0, 1.0)
+
+
+class TestTraceInverse:
+    def test_dense_and_block_spectra_agree(self):
+        """eig(Y) plus theta of multiplicity m is the spectrum of U Y U^H + theta P_null."""
+        eigs = np.array([0.5, 2.0, 4.0])
+        dense = np.concatenate([eigs, np.full(5, 0.25)])
+        assert trace_inverse(eigs, 0.25, 5) == pytest.approx(trace_inverse(dense), rel=1e-15)
+        assert trace_inverse(eigs, 0.25, 5) == pytest.approx(2.0 + 0.5 + 0.25 + 20.0, rel=1e-15)
+
+    @pytest.mark.parametrize("ratio, singular", [(0.5 * COND_TOL, True), (COND_TOL, True), (2.0 * COND_TOL, False)])
+    def test_threshold_on_either_part(self, ratio, singular):
+        """lambda_min <= COND_TOL lambda_max reads inf, whether lambda_min is theta,
+        an eigenvalue of the block, or a dense eigenvalue."""
+        top = 3.0
+        for value in (
+            trace_inverse(np.array([1.0, top]), ratio * top, 4),
+            trace_inverse(np.array([ratio * top, top]), 1.0, 4),
+            trace_inverse(np.array([ratio * top, 1.0, top])),
+        ):
+            assert (value == np.inf) == singular
+            assert value > 0.0
+
+    @pytest.mark.parametrize("theta", [0.0, -1e-300, -1.0])
+    def test_spent_or_overspent_null_level_is_singular(self, theta):
+        assert trace_inverse(np.array([1.0, 2.0]), theta, 3) == np.inf
+
+    def test_nonpositive_dense_spectrum_is_singular(self):
+        assert trace_inverse(np.array([-1e-20, 1.0])) == np.inf
+        assert trace_inverse(np.array([-2.0, -1.0])) == np.inf

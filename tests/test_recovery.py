@@ -15,8 +15,8 @@ from crbeam.recovery import (
 )
 from crbeam.pipeline import solve_scenario
 from crbeam.reduction import build_reduced, check_degenerate, precompute_dual
-from crbeam.scenario import Scenario, evaluate_crb_objective, evaluate_sinr, generate_channel
-from conftest import constrained_instance, make_scenario
+from crbeam.scenario import Scenario, SingularCovariance, evaluate_crb_objective, evaluate_sinr, generate_channel
+from conftest import constrained_instance, make_scenario, random_psd
 
 
 def single_user_setup():
@@ -157,6 +157,27 @@ class TestRangeSolution:
         assert result.degenerate
         assert np.array_equal(np.column_stack(result.solution.w), np.column_stack(sol.w))
         assert np.array_equal(result.solution.full_cov, sol.full_cov)
+
+    @pytest.mark.parametrize("level", [1e-14, 1e-6])
+    def test_reduced_and_dense_objective_share_one_rule(self, level):
+        """An answer with theta = level * lambda_max of the K x K block: the reduced
+        objective is inf exactly when the dense evaluator calls R singular, and
+        otherwise the two agree."""
+        n_tx, k = 24, 4
+        scenario = make_scenario(n_tx, k)
+        inst = build_reduced(scenario, generate_channel(scenario, 2))
+        rng = np.random.default_rng(3)
+        total = random_psd(rng, k) + np.eye(k)
+        v = 0.2 * np.eye(k, dtype=complex)  # V V^H = 0.04 I, under total - theta I
+        theta = level * np.linalg.eigvalsh(total)[-1]
+        sol = range_solution(inst, v, total, theta)
+        try:
+            dense = evaluate_crb_objective(sol.full_cov)
+        except SingularCovariance:
+            dense = np.inf
+        assert (sol.objective == np.inf) == (dense == np.inf) == (level < 1e-12)
+        if dense < np.inf:
+            assert sol.objective == pytest.approx(dense, rel=1e-6)
 
     @pytest.mark.parametrize("isotropic", [True, False])
     def test_range_basis_sinr_matches_dense(self, isotropic, solved_k3):
