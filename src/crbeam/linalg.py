@@ -56,11 +56,11 @@ def null_space_basis(m):
 
 
 def trace_inverse(eigs, theta=0.0, null_dim=0):
-    """Sum of 1/lambda over the eigenvalues `eigs` and `theta` of multiplicity `null_dim`
-    (for R = U Y U^H + theta P_null: eig(Y), theta, Nt - K), i.e. tr(R^-1); inf when
-    lambda_min <= COND_TOL * lambda_max, which includes any lambda <= 0."""
-    spectrum = np.append(eigs, theta) if null_dim else eigs
-    if spectrum.min() <= COND_TOL * spectrum.max():
+    """Sum of 1/lambda over ascending eigenvalues `eigs` (as eigvalsh returns them) and
+    `theta` of multiplicity `null_dim` (R = U Y U^H + theta P_null: eig(Y), theta, Nt - K),
+    i.e. tr(R^-1); inf when lambda_min <= COND_TOL * lambda_max, any lambda <= 0 included."""
+    low, high = (min(eigs[0], theta), max(eigs[-1], theta)) if null_dim else (eigs[0], eigs[-1])
+    if low <= COND_TOL * high:
         return np.inf
     head = float(np.sum(1.0 / eigs))
     return head + null_dim / theta if null_dim else head
