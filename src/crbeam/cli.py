@@ -1,5 +1,6 @@
-"""Command-line front end: solve, sweep, feasibility, verify.
+"""Command-line front end: solve, sweep, feasibility.
 
+`solve --full-check` adds the dense KKT certificate of `verification`.
 Configuration is a single JSON document with dB/dBm fields; conversion to
 linear units happens exactly once, here.
 """
@@ -9,7 +10,6 @@ import csv
 import json
 import os
 import sys
-import time
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -19,7 +19,6 @@ from .pipeline import solve_scenario
 from .rbal import SolverConfig
 from .scenario import Scenario, dbm_to_linear, generate_channel, linear_to_dbm
 from .verification import kkt_residuals
-from .verify_suite import build_checks
 
 
 class ConfigError(Exception):
@@ -327,19 +326,6 @@ def cmd_feasibility(args):
     return 0 if report.feasible else 2
 
 
-def cmd_verify(args):
-    checks = build_checks(full=args.full)
-    failures = 0
-    for name, fn in checks:
-        t0 = time.perf_counter()
-        measured, threshold = fn()
-        ok = measured <= threshold
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {measured:.3e} (threshold {threshold:.1e}, {time.perf_counter() - t0:.1f}s)")
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 0 if failures == 0 else 1
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="crbeam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,10 +347,6 @@ def main(argv=None):
     p_feas.add_argument("--config", required=True)
     p_feas.add_argument("--seed", type=int, default=None)
     p_feas.set_defaults(fn=cmd_feasibility)
-
-    p_verify = sub.add_parser("verify", help="run the oracle suite")
-    p_verify.add_argument("--full", action="store_true")
-    p_verify.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
     try:

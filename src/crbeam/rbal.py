@@ -34,17 +34,15 @@ class SolverConfig:
     delta: float = 1e-4
     tol_violation: float = 1e-9
     max_iterations: int = 200000
-    log_every: int = 0                # 0 disables the trace history
 
     def __post_init__(self):
         for name in ("delta", "tol_violation") + (() if self.tau is None else ("tau",)):
             value = getattr(self, name)
             if not 0 < value < np.inf:  # NaN fails every comparison
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("max_iterations", "log_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        value = self.max_iterations
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"max_iterations must be an integer >= 0, got {value!r}")
 
 
 @dataclass
@@ -66,7 +64,6 @@ class SolveReport:
     iterations: int
     final_violation: float
     objective: float
-    trace_history: list | None = None
 
 
 def _water_level(eigs, budget):
@@ -237,13 +234,10 @@ def solve(instance, dual, config, init):
     tau = default_stepsize(instance) if config.tau is None else config.tau
     state = init
 
-    trace = [] if config.log_every else None
     for steps in range(config.max_iterations + 1):
         violation = constraint_violation(state, instance)
         if not np.isfinite(violation):
             raise NumericalDivergence(f"violation became non-finite at sweep {steps}")
-        if trace is not None and steps and steps % config.log_every == 0:
-            trace.append((state.iteration, violation, objective_value(state, instance)))
         if violation <= config.tol_violation or steps == config.max_iterations:
             break
         state = iterate(state, instance, dual, tau)
@@ -253,6 +247,5 @@ def solve(instance, dual, config, init):
         iterations=state.iteration,
         final_violation=violation,
         objective=objective_value(state, instance),
-        trace_history=trace,
     )
     return state, report

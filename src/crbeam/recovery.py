@@ -13,7 +13,7 @@ assembles the answers of both regimes: the objective from Y, the SINRs in the
 range basis, the sensing covariance's factor by one dense `eigh`.  An answer
 is (U, V, M, theta) plus that factor, its one Nt x Nt array; `w`,
 `sensing_cov` and `full_cov` are recomputed on access.  This module only
-builds answers: the checks of an answer are the independent oracles in
+builds answers: the check of an answer is the KKT certificate in
 `verification`.
 """
 

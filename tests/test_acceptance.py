@@ -16,9 +16,9 @@ from crbeam.rbal import SolverConfig, default_stepsize, initial_state, iterate, 
 from crbeam.recovery import extract_rank_one
 from crbeam.reduction import build_reduced, check_degenerate, precompute_dual
 from crbeam.scenario import Scenario, evaluate_crb_objective, evaluate_sinr, generate_channel
-from crbeam.verification import dense_dual_inverse_check, kkt_residuals, scalar_oracle_k1
-from crbeam.verify_suite import trajectory_gap
+from crbeam.verification import kkt_residuals
 from conftest import constrained_instance, make_scenario
+from oracles import dense_dual_inverse_check, scalar_oracle_k1, trajectory_gap
 
 from test_feasibility import dual_minpower_beamformers, orthogonal_channel
 

@@ -459,8 +459,16 @@ class TestFeasibilityCommand:
         assert main(["feasibility", "--config", str(cfg), "--seed", "1"]) == 2
 
 
-def test_verify_quick(capsys):
-    assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "checks passed" in out
-    assert "FAIL" not in out
+def test_help_lists_subcommands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{solve,sweep,feasibility}" in capsys.readouterr().out
+
+
+def test_verify_subcommand_removed(capsys):
+    """The oracle checks run in the test suite; the CLI has no `verify`."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2  # argparse's usage error
+    assert "invalid choice: 'verify'" in capsys.readouterr().err

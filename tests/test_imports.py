@@ -1,5 +1,6 @@
 """The package runs on numpy alone: no scipy module is loaded, even after
-solves that take both the closed-form and the iterative path."""
+solves that take both the closed-form and the iterative path.  And the KKT
+certificate binds no name from the solver it checks."""
 
 import json
 import os
@@ -33,16 +34,34 @@ print(json.dumps({
 }))
 """
 
+CERTIFICATE_CHILD = """
+import json
+import crbeam.verification
+print(json.dumps(sorted(
+    name for name, value in vars(crbeam.verification).items()
+    if getattr(value, "__module__", None) == "crbeam.rbal" or getattr(value, "__name__", None) == "crbeam.rbal"
+)))
+"""
 
-def test_solves_load_no_scipy():
+
+def run_child(code):
+    """json.loads of what `code` prints in a fresh interpreter that imports this crbeam."""
     src = str(Path(crbeam.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", CHILD], env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, check=True, timeout=300,
     )
-    report = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_solves_load_no_scipy():
+    report = run_child(CHILD)
     assert report["isotropic"] is True
     assert report["status"] == "converged"
     assert report["stationarity"] < 1e-6
     assert report["scipy"] == []
+
+
+def test_certificate_binds_nothing_from_the_solver():
+    assert run_child(CERTIFICATE_CHILD) == []

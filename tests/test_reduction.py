@@ -9,8 +9,9 @@ from crbeam.reduction import (
     IllConditionedDual, ReducedInstance, build_reduced, check_degenerate, precompute_dual,
 )
 from crbeam.scenario import Scenario, evaluate_crb_objective, generate_channel
-from crbeam.verification import build_dense_system, kkt_residuals, scalar_oracle_k1
+from crbeam.verification import kkt_residuals
 from conftest import constrained_instance, make_scenario, random_psd
+from oracles import build_dense_system, scalar_oracle_k1
 
 
 class TestBuildReduced:
