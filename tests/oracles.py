@@ -79,7 +79,7 @@ def reference_iterate(state, instance, dense, tau):
 
     Uses the same proximal operators as the structured path; everything else
     (the gradient step D^H lambda, the extrapolated residual D(2u+ - u) - b,
-    and the dense solve against D D^H + delta I) is computed from scratch.
+    and the dense solve against D D^H + delta I) is computed anew.
     """
     k = instance.n_users
     k2 = k * k
