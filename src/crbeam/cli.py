@@ -32,10 +32,10 @@ class RunConfig:
     p_t_dbm: float = 20.0
     gamma_db: object = 10.0        # scalar or per-user list
     sigma2_dbm: float = 0.0
-    tau: float | None = None
-    delta: float = 1e-4
-    tol: float = 1e-9
-    max_iters: int = 200000
+    tau: float | None = SolverConfig.tau
+    delta: float = SolverConfig.delta
+    tol: float = SolverConfig.tol_violation
+    max_iters: int = SolverConfig.max_iterations
     trials: int = 1
     base_seed: int = 0
     sweep: dict | None = None
@@ -253,7 +253,8 @@ def cmd_solve(args):
         print(f"min SINR margin: {row.min_sinr_margin:+.3e}")
     if args.full_check and row.feasible:
         kkt = kkt_residuals(result.solution, scenario, channel)
-        for key in ("stationarity", "theta_psd_margin", "complementarity", "primal_sinr", "primal_power"):
+        for key in ("stationarity", "theta_psd_margin", "complementarity", "mu_complementarity", "mu_min",
+                    "primal_sinr", "primal_power"):
             print(f"  kkt_{key}: {kkt[key]:+.3e}")
         full = kkt["objective"]  # the dense tr(R^-1), from kkt's one decomposition of R
         gap = f"{abs(full - result.reduced_objective) / full:+.3e}" if full < np.inf else "n/a, R is singular"

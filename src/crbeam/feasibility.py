@@ -13,8 +13,8 @@ and q_k is the uplink MMSE gain of user k.  The Jacobian is closed form,
     dT_k / dlambda_j = |A_kj|^2 / (rho_k * q_k^2),
 
 so Newton's method reaches the fixed point in a handful of K x K solves.
-Only forming G from the Nt x K channel, and by default the rank check's SVD,
-touch Nt: O(Nt K^2) work; the Newton steps are K x K.
+Forming G and the rank check's SVD touch the channel passed in; the pipeline
+passes the K x K reduced channel U^H H, with the same G, so no step touches Nt.
 """
 
 from dataclasses import dataclass
@@ -25,6 +25,7 @@ from .linalg import compact_svd
 
 FEASIBLE_MARGIN = 1e-9
 NEWTON_TOL = 1e-12        # relative fixed-point residual that ends p_low_from_gram
+STALL_TOL = 1e-9          # largest residual a stalled run may return (README, Numerical notes)
 MAX_NEWTON_STEPS = 100
 
 
@@ -49,7 +50,8 @@ def p_low_from_gram(gram, thresholds, noise):
     from lambda = 0, and residual = max_k |T_k - lambda_k| / T_k at the
     returned point: at most NEWTON_TOL or, when strongly correlated users leave
     a rounding floor above it, the lowest of MAX_NEWTON_STEPS steps if that is
-    at most cond(G) * eps.  Raises FixedPointDiverged otherwise.
+    at most STALL_TOL.  Raises FixedPointDiverged otherwise.  A point with some
+    q_k <= 0 or lambda_k < 0 is rounding noise and is never returned.
 
     Each step solves (I - J) delta = T(lambda) - lambda.  T is concave and
     monotone, so a Newton point with every entry positive satisfies
@@ -72,35 +74,33 @@ def p_low_from_gram(gram, thresholds, noise):
         q = a.diagonal().real
         target = noise / (rho * q)
         residual = float(np.max(np.abs(target - lam) / target))
-        if residual <= NEWTON_TOL:
-            return lam, iterations, residual
-        if residual < best[0]:
-            best = (residual, lam, iterations)
+        if q.min() > 0.0 and lam.min() >= 0.0:
+            if residual <= NEWTON_TOL:
+                return lam, iterations, residual
+            if residual < best[0]:
+                best = (residual, lam, iterations)
         jac = np.abs(a) ** 2 / (rho * q * q)[:, None]
         new = lam + np.linalg.solve(eye - jac, target - lam)
         if not np.all(new > 0.0):
             new = (1.0 + thresholds) * target - thresholds * lam
         lam = new
     residual, lam, iterations = best
-    eigs = np.linalg.eigvalsh(gram)
-    floor = eigs[-1] / eigs[0] * np.finfo(float).eps if eigs[0] > 0.0 else 0.0
-    if residual <= floor:
+    if residual <= STALL_TOL:
         return lam, iterations, residual
     raise FixedPointDiverged(
-        f"no convergence in {MAX_NEWTON_STEPS} iterations (residual {residual:.2e}, floor {floor:.2e})"
+        f"no convergence in {MAX_NEWTON_STEPS} iterations (best residual {residual:.2e} > {STALL_TOL:.0e})"
     )
 
 
-def compute_p_low(scenario, channel, check_rank=True):
+def compute_p_low(scenario, channel):
     """Minimum feasible transmit power and the feasibility verdict.
 
-    The verdict uses P_T >= (1 - 1e-9) * p_low so that numerically borderline
-    instances are not rejected; those are flagged via `borderline`.  Callers
-    that already ran the range-space SVD of this channel (which raises
-    RankDeficientChannel) pass check_rank=False to skip a second one.
+    `channel` is H or any matrix with Gram matrix H^H H, such as U^H H; its SVD
+    raises RankDeficientChannel, which the stall rule of p_low_from_gram needs.
+    The verdict P_T >= (1 - 1e-9) * p_low admits borderline budgets, flagged
+    via `borderline`.
     """
-    if check_rank:
-        compact_svd(channel)
+    compact_svd(channel)
     gram = channel.conj().T @ channel
     lam, iterations, residual = p_low_from_gram(
         gram, scenario.sinr_thresholds, scenario.noise_power

@@ -25,15 +25,15 @@ class PipelineResult:
 def solve_scenario(scenario, channel, config=None):
     """Feasibility check, isotropic screen, then closed form or iterative solve.
 
-    The range-space reduction comes first: its SVD is the only one per solve
-    and also checks the channel's rank.  Infeasible scenarios return early with
-    solution=None.  Setup timing covers everything up to (and excluding) the
-    solver loop.
+    The range-space reduction comes first: its SVD is the only Nt x K one per
+    solve and checks the channel's rank; feasibility reads the K x K reduced
+    channel.  Infeasible scenarios return early with solution=None.  Setup
+    timing covers everything up to (and excluding) the solver loop.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
     instance = build_reduced(scenario, channel)
-    report = compute_p_low(scenario, channel, check_rank=False)
+    report = compute_p_low(scenario, instance.h_tilde)
     if not report.feasible:
         elapsed = time.perf_counter() - t0
         return PipelineResult(report, False, None, None, None, elapsed, 0.0)

@@ -50,7 +50,6 @@ class ReducedInstance:
 class DualPrecompute:
     """Constants of the structured dual update, computed once per instance."""
 
-    delta: float
     kappa: float
     alpha: float
     beta: float
@@ -119,7 +118,6 @@ def precompute_dual(instance, delta):
     except np.linalg.LinAlgError as exc:
         raise IllConditionedDual(f"Cholesky of L failed for delta={delta}: {exc}") from exc
     return DualPrecompute(
-        delta=float(delta),
         kappa=float(kappa),
         alpha=float(alpha),
         beta=float(beta),

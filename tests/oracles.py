@@ -138,9 +138,10 @@ def assemble_structured_inverse(instance, dual):
     ])
 
 
-def dense_dual_inverse_check(instance, dual):
-    """Max-abs entry of structured_inverse @ (D D^H + delta I) - I."""
-    normal = build_dense_system(instance, dual.delta).normal
+def dense_dual_inverse_check(instance, dual, delta):
+    """Max-abs entry of structured_inverse @ (D D^H + delta I) - I, for the
+    `dual` that precompute_dual built with this delta."""
+    normal = build_dense_system(instance, delta).normal
     structured = assemble_structured_inverse(instance, dual)
     return float(np.max(np.abs(structured @ normal - np.eye(normal.shape[0]))))
 
@@ -174,7 +175,7 @@ def dual_inverse_error(n_users, delta, seed=11):
     scenario = make_scenario(4 * n_users, n_users)
     instance = build_reduced(scenario, generate_channel(scenario, seed))
     dual = precompute_dual(instance, delta)
-    return dense_dual_inverse_check(instance, dual)
+    return dense_dual_inverse_check(instance, dual, delta)
 
 
 def trajectory_gap(n_users, iterations, seed=5):

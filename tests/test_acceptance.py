@@ -94,7 +94,7 @@ def test_criterion_02_structured_dual_inverse():
             channel = generate_channel(scenario, 17 * k + int(delta * 1e4))
             instance = build_reduced(scenario, channel)
             dual = precompute_dual(instance, delta)
-            worst = max(worst, dense_dual_inverse_check(instance, dual))
+            worst = max(worst, dense_dual_inverse_check(instance, dual, delta))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
     assert elapsed < 30.0

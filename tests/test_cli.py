@@ -10,11 +10,12 @@ import crbeam.verification
 from crbeam.cli import ConfigError, RESULT_COLUMNS, load_config, main
 from crbeam.feasibility import compute_p_low
 from crbeam.pipeline import PipelineResult
-from crbeam.rbal import SolveReport
+from crbeam.rbal import SolveReport, SolverConfig
 from crbeam.recovery import BeamformingSolution, NotPSD, extract_rank_one
 from crbeam.reduction import build_reduced
 
-KKT_ROWS = ["kkt_stationarity", "kkt_theta_psd_margin", "kkt_complementarity", "kkt_primal_sinr", "kkt_primal_power"]
+KKT_ROWS = ["kkt_stationarity", "kkt_theta_psd_margin", "kkt_complementarity", "kkt_mu_complementarity",
+            "kkt_mu_min", "kkt_primal_sinr", "kkt_primal_power"]
 
 
 def solve_raises(monkeypatch, fail_calls=None):
@@ -54,6 +55,11 @@ class TestConfig:
         p = write_config(tmp_path / "c.json", bogus=1)
         with pytest.raises(ConfigError, match="bogus"):
             load_config(p)
+
+    def test_solver_defaults_come_from_solver_config(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"n_tx": 8, "n_users": 2}))
+        assert load_config(p).solver == SolverConfig()
 
     def test_missing_required(self, tmp_path):
         p = tmp_path / "c.json"

@@ -3,6 +3,8 @@ import pytest
 
 from crbeam import feasibility
 from crbeam.feasibility import FixedPointDiverged, compute_p_low, p_low_from_gram
+from crbeam.linalg import RankDeficientChannel
+from crbeam.pipeline import solve_scenario
 from crbeam.scenario import Scenario, evaluate_sinr, generate_channel
 from conftest import make_scenario
 
@@ -57,6 +59,22 @@ def fixed_point_reference(gram, thresholds, noise, tol=1e-13, max_iterations=200
 def random_gram(n_tx, n_users, seed):
     h = generate_channel(make_scenario(n_tx, n_users), seed)
     return h.conj().T @ h
+
+
+def correlated_channel(eps):
+    """12 x 3 seed-1 channel with h_3 = h_1 + eps ||h_1|| g, g a fixed unit vector."""
+    h = generate_channel(make_scenario(12, 3), 1)
+    rng = np.random.default_rng(123)
+    g = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    h[:, 2] = h[:, 0] + eps * np.linalg.norm(h[:, 0]) * g / np.linalg.norm(g)
+    return h
+
+
+def assert_certified(scenario, channel, report):
+    """Every lambda_k > 0, and the dual-derived beamformers spend p_low."""
+    assert np.all(report.lambdas > 0)
+    _, powers = dual_minpower_beamformers(scenario, channel, report.lambdas)
+    assert float(powers.sum()) == pytest.approx(report.p_low, rel=1e-6)
 
 
 class TestNewton:
@@ -125,28 +143,83 @@ class TestNewton:
         sinr = evaluate_sinr(h, w, np.zeros((sc.n_tx, sc.n_tx)), sc.noise_power)
         assert np.max(np.abs(sinr / sc.sinr_thresholds - 1.0)) < 1e-8
 
-    @pytest.mark.parametrize("eps", [3.2e-3, 5.6e-4, 1e-4])
+    @pytest.mark.parametrize("eps", [3.2e-3, 5.6e-4, 1e-4, 1e-7, 1e-8])
     def test_rounding_floor_of_correlated_users(self, eps):
-        """h_3 = h_1 + eps ||h_1|| g (cond(H) ~7.6e2, 4.3e3, 2.4e4): rounding
-        stalls Newton above NEWTON_TOL, so the probe returns its best iterate,
-        whose residual is within cond(G) * eps_mach."""
+        """correlated_channel(eps) has cond(H) ~7.5e2, 4.3e3, 2.4e4, 2.4e7 and
+        2.4e8: rounding stalls Newton above NEWTON_TOL.  The probe returns its
+        best iterate when that is within STALL_TOL (measured 1.3e-11 to 4.0e-10
+        here, p_low within 1.3e-7 of the certificate) and raises otherwise.
+        A cond(G) * eps_mach floor would return, at 1e-7, a p_low 11% below the
+        certificate at residual 1.4e-2 and, at 1e-8, 1.9e7 at residual 0.45,
+        where the 1/eps^2 trend puts p_low near 2e16."""
+        sc = make_scenario(12, 3)
+        h = correlated_channel(eps)
+        if eps < 1e-5:
+            with pytest.raises(FixedPointDiverged):
+                compute_p_low(sc, h)
+            return
+        rep = compute_p_low(sc, h)
+        assert feasibility.NEWTON_TOL < rep.residual <= feasibility.STALL_TOL
+        assert_certified(sc, h, rep)
+
+    def test_correlated_family_is_certified_or_raises(self):
+        """Over 121 sizes eps = 1e-2 .. 3e-10 (cond(H) 2.4e2 .. 7.6e9, all
+        inside the 1e-10 rank test) every p_low returned is certified, and
+        every other member raises FixedPointDiverged: no negative or stalled
+        value escapes.  A STALL_TOL of 1e-8 would return eps = 2.7e-5 at
+        residual 6.4e-9, 1.02e-6 off the certificate."""
+        sc = make_scenario(12, 3)
+        returned = 0
+        for eps in np.logspace(-2, -9.5, 121):
+            h = correlated_channel(eps)
+            try:
+                rep = compute_p_low(sc, h)
+            except FixedPointDiverged:
+                continue
+            assert rep.residual <= feasibility.STALL_TOL
+            assert_certified(sc, h, rep)
+            returned += 1
+        assert returned >= 25  # measured: 28, down to eps = 1e-4
+
+    def test_near_singular_channel_raises(self):
+        """h_3 = h_1 + 1e-8 g with no normalization (sigma_min / sigma_max
+        3.9e-9, inside the rank test): Newton stalls on iterates with
+        lambda_k < 0, and a cond(G) * eps_mach floor returns one of them as
+        p_low = -1.4e16."""
         sc = make_scenario(12, 3)
         h = generate_channel(sc, 1)
-        rng = np.random.default_rng(123)
-        g = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        h[:, 2] = h[:, 0] + eps * np.linalg.norm(h[:, 0]) * g / np.linalg.norm(g)
-        gram_eigs = np.linalg.eigvalsh(h.conj().T @ h)
-        floor = gram_eigs[-1] / gram_eigs[0] * np.finfo(float).eps
-        rep = compute_p_low(sc, h)
-        assert feasibility.NEWTON_TOL < rep.residual <= floor
-        _, powers = dual_minpower_beamformers(sc, h, rep.lambdas)
-        assert float(powers.sum()) == pytest.approx(rep.p_low, rel=10 * floor)
+        h[:, 2] = h[:, 0] + 1e-8 * generate_channel(sc, 2)[:, 0]
+        s = np.linalg.svd(h, compute_uv=False)
+        assert 1e-10 < s[-1] / s[0] < 1e-8
+        with pytest.raises(FixedPointDiverged):
+            compute_p_low(sc, h)
 
     def test_iteration_cap_raises(self, monkeypatch):
         gram = random_gram(8, 3, 0)
         monkeypatch.setattr(feasibility, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(FixedPointDiverged):
             p_low_from_gram(gram, np.full(3, 10.0), 1.0)
+
+
+class TestPipeline:
+    """solve_scenario reads p_low off the K x K reduced channel U^H H."""
+
+    @pytest.mark.parametrize("n_tx, n_users, seed", TestNewton.SHAPES)
+    def test_reduced_channel_gives_the_same_p_low(self, n_tx, n_users, seed):
+        # a 1 uW budget is infeasible, so the pipeline stops after feasibility
+        sc = make_scenario(n_tx, n_users, power=1e-3)
+        h = generate_channel(sc, seed)
+        result = solve_scenario(sc, h)
+        assert not result.feasibility.feasible
+        direct = compute_p_low(sc, h).p_low
+        assert abs(result.feasibility.p_low - direct) <= 1e-14 * direct
+
+    def test_rank_deficient_channel_raises(self):
+        sc = make_scenario(12, 3)
+        h = generate_channel(sc, 1)
+        h[:, 2] = h[:, 0] + 1e-12 * h[:, 1]
+        with pytest.raises(RankDeficientChannel):
+            solve_scenario(sc, h)
 
 
 class TestClosedForms:
