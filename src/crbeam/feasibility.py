@@ -13,15 +13,15 @@ and q_k is the uplink MMSE gain of user k.  The Jacobian is closed form,
     dT_k / dlambda_j = |A_kj|^2 / (rho_k * q_k^2),
 
 so Newton's method reaches the fixed point in a handful of K x K solves.
-Forming G and the rank check's SVD touch the channel passed in; the pipeline
-passes the K x K reduced channel U^H H, with the same G, so no step touches Nt.
+Forming G and the rank check's singular values read the channel passed in;
+the pipeline passes U^H H (K x K, same G and singular values), so no step touches Nt.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import compact_svd
+from .linalg import compact_svd, require_full_rank  # perfbench/spans.py wraps compact_svd here
 
 FEASIBLE_MARGIN = 1e-9
 NEWTON_TOL = 1e-12        # relative fixed-point residual that ends p_low_from_gram
@@ -95,12 +95,12 @@ def p_low_from_gram(gram, thresholds, noise):
 def compute_p_low(scenario, channel):
     """Minimum feasible transmit power and the feasibility verdict.
 
-    `channel` is H or any matrix with Gram matrix H^H H, such as U^H H; its SVD
-    raises RankDeficientChannel, which the stall rule of p_low_from_gram needs.
-    The verdict P_T >= (1 - 1e-9) * p_low admits borderline budgets, flagged
-    via `borderline`.
+    `channel` is H or any matrix with Gram matrix H^H H, such as U^H H; a
+    rank-deficient one raises RankDeficientChannel, which the stall rule of
+    p_low_from_gram needs.  The verdict P_T >= (1 - 1e-9) * p_low admits
+    borderline budgets, flagged via `borderline`.
     """
-    compact_svd(channel)
+    require_full_rank(np.linalg.svd(channel, compute_uv=False))
     gram = channel.conj().T @ channel
     lam, iterations, residual = p_low_from_gram(
         gram, scenario.sinr_thresholds, scenario.noise_power

@@ -20,7 +20,7 @@ class InvalidBracket(Exception):
     """Root bracket does not straddle a sign change."""
 
 
-def _require_full_rank(s):
+def require_full_rank(s):
     """Raise RankDeficientChannel when min(s) < RANK_TOL max(s), s sorted descending."""
     if s[-1] < RANK_TOL * s[0]:
         raise RankDeficientChannel(f"smallest singular value {s[-1]:.3e} < {RANK_TOL:.0e} * {s[0]:.3e}")
@@ -30,13 +30,13 @@ def compact_svd(m):
     """Compact SVD of a tall full-column-rank matrix.
 
     Returns (left_basis, singular_values, right_vh) with
-    m = left_basis @ diag(s) @ right_vh.  Raises RankDeficientChannel by _require_full_rank.
+    m = left_basis @ diag(s) @ right_vh.  Raises RankDeficientChannel by require_full_rank.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         raise ValueError("expected a tall (rows >= cols) matrix")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    _require_full_rank(s)
+    require_full_rank(s)
     return u, s, vh
 
 
@@ -44,14 +44,14 @@ def null_space_basis(m):
     """Orthonormal basis of the null space of m^H for a tall Nt x K matrix.
 
     The returned Nt x (Nt - K) matrix U satisfies m^H @ U = 0.  Raises
-    RankDeficientChannel by _require_full_rank.
+    RankDeficientChannel by require_full_rank.
     """
     m = np.asarray(m)
     n_rows, n_cols = m.shape
     if n_rows <= n_cols:
         raise ValueError("null space of m^H is trivial unless rows > cols")
     u, s, _ = np.linalg.svd(m, full_matrices=True)
-    _require_full_rank(s)
+    require_full_rank(s)
     return u[:, n_cols:]
 
 
