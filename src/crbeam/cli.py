@@ -33,7 +33,6 @@ class RunConfig:
     gamma_db: object = 10.0        # scalar or per-user list
     sigma2_dbm: float = 0.0
     tau: float | None = SolverConfig.tau
-    delta: float = SolverConfig.delta
     tol: float = SolverConfig.tol_violation
     max_iters: int = SolverConfig.max_iterations
     trials: int = 1
@@ -89,7 +88,7 @@ def load_config(path):
             raise ConfigError(f"config field '{req}' is required")
     cfg = RunConfig(**raw)
 
-    for name, low in (("n_tx", 1), ("n_users", 1), ("trials", 1), ("base_seed", 0)):
+    for name, low in (("trials", 1), ("base_seed", 0)):  # Scenario checks n_tx and n_users
         _require_int(name, getattr(cfg, name), low)
     gammas = cfg.gamma_db if isinstance(cfg.gamma_db, list) else [cfg.gamma_db]
     db_fields = [("p_t_dbm", cfg.p_t_dbm), ("sigma2_dbm", cfg.sigma2_dbm)] + [("gamma_db", g) for g in gammas]
@@ -97,11 +96,9 @@ def load_config(path):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
-        cfg.solver = SolverConfig(
-            tau=cfg.tau, delta=cfg.delta, tol_violation=cfg.tol, max_iterations=cfg.max_iters
-        )
+        cfg.solver = SolverConfig(tau=cfg.tau, tol_violation=cfg.tol, max_iterations=cfg.max_iters)
     except (TypeError, ValueError) as exc:  # e.g. "tau": -1, "tau": "1" or "max_iters": 2.5
-        raise ConfigError(f"invalid solver setting (tau, delta, tol, max_iters): {exc}") from exc
+        raise ConfigError(f"invalid solver setting (tau, tol, max_iters): {exc}") from exc
 
     cfg.scenario = _scenario(cfg, cfg.n_tx, cfg.n_users)
     if cfg.sweep is not None:
@@ -114,7 +111,6 @@ def load_config(path):
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values must be a non-empty list")
         for v in values:
-            _require_int("sweep.values entry", v, 1)
             n_tx, n_users = (v, cfg.n_users) if param == "Nt" else (cfg.n_tx, v)
             cfg.sweep_scenarios[v] = _scenario(cfg, n_tx, n_users, f" at sweep point {param}={v}")
         if any(a >= b for a, b in zip(values, values[1:])):

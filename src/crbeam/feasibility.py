@@ -95,11 +95,13 @@ def p_low_from_gram(gram, thresholds, noise):
 def compute_p_low(scenario, channel):
     """Minimum feasible transmit power and the feasibility verdict.
 
-    `channel` is H or any matrix with Gram matrix H^H H, such as U^H H; a
-    rank-deficient one raises RankDeficientChannel, which the stall rule of
-    p_low_from_gram needs.  The verdict P_T >= (1 - 1e-9) * p_low admits
-    borderline budgets, flagged via `borderline`.
+    `channel` is H or any matrix with its Gram matrix H^H H and K columns, such
+    as U^H H; a rank-deficient one raises RankDeficientChannel, which the stall
+    rule of p_low_from_gram needs.  The verdict P_T >= (1 - 1e-9) * p_low
+    admits borderline budgets, flagged via `borderline`.
     """
+    if channel.shape[1:] != (scenario.n_users,):
+        raise ValueError(f"channel shape {channel.shape} needs n_users = {scenario.n_users} columns")
     require_full_rank(np.linalg.svd(channel, compute_uv=False))
     gram = channel.conj().T @ channel
     lam, iterations, residual = p_low_from_gram(

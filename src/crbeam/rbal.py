@@ -31,12 +31,11 @@ class NumericalDivergence(Exception):
 @dataclass(frozen=True)
 class SolverConfig:
     tau: float | None = None          # None -> norm-scaled default stepsize
-    delta: float = 1e-4
     tol_violation: float = 1e-9
     max_iterations: int = 200000
 
     def __post_init__(self):
-        for name in ("delta", "tol_violation") + (() if self.tau is None else ("tau",)):
+        for name in ("tol_violation",) + (() if self.tau is None else ("tau",)):
             value = getattr(self, name)
             if not 0 < value < np.inf:  # NaN fails every comparison
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")

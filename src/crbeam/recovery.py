@@ -9,11 +9,12 @@ Y = sum_k X_k, theta = (P_T - sum tr X_k) / (Nt - K) and the beamformers
 
 and the sensing covariance is the remainder R - W W^H = U M U^H + theta I
 with the K x K block M = Y - theta I - V V^H.  One builder, `range_solution`,
-assembles the answers of both regimes: the objective from Y, the SINRs in the
-range basis, the sensing covariance's factor by one dense `eigh`.  An answer
-is (U, V, M, theta) plus that factor, its one Nt x Nt array; `w`,
-`sensing_cov` and `full_cov` are recomputed on access.  This module only
-builds answers: the check of an answer is the KKT certificate in
+assembles the answers of both regimes: the objective from Y, the SINRs and the
+sensing covariance's PSD check from (M, theta), all K x K, and that
+covariance's factor by one dense `eigh` that only factors: no production path
+reads it.  An answer is (U, V, M, theta) plus the factor, its one Nt x Nt
+array; `w`, `sensing_cov` and `full_cov` are recomputed on access.  This
+module only builds answers: the check of an answer is the KKT certificate in
 `verification`.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from .linalg import null_space_basis, trace_inverse  # noqa: F401
 from .scenario import evaluate_sinr
 
-NEG_TOL = 1e-8  # sensing_factor: an eigenvalue below -NEG_TOL * tr(R) is not PSD
+NEG_TOL = 1e-8  # range_solution: a sensing eigenvalue below -NEG_TOL * tr(R), not its own size, is not PSD
 
 
 class ExtractionDegenerate(Exception):
@@ -77,18 +78,23 @@ def range_solution(instance, v, total, theta):
     level.  The objective tr(R^-1) = sum 1/eig(total) + (Nt - K) / theta is
     read off the K x K block by `trace_inverse` (inf when R is singular), and
     the SINRs are computed in the range basis, exact because every channel is
-    h_k = U q_k.  The dense sensing covariance is built once, for its factor;
-    the answer derives `w`, `sensing_cov` and `full_cov` on access.
+    h_k = U q_k.  The sensing covariance has spectrum eig(M) + theta and
+    theta >= 0, so NotPSD is read off the K x K block.  The dense sensing
+    covariance is built once, for its factor; `w`, `sensing_cov` and
+    `full_cov` are derived on access.
     """
     u = instance.u_tilde
     n_tx, k = instance.n_tx, instance.n_users
     # total - theta I is exactly zero for the isotropic witness (total = theta I)
     m = total - theta * np.eye(k) - v @ v.conj().T
     power = float(np.trace(total).real) + (n_tx - k) * theta  # tr R
+    # a named M + theta I would stay alive through the dense eigh and lift its peak
+    if (low := np.linalg.eigvalsh(m)[0] + theta) < -NEG_TOL * power:
+        raise NotPSD(f"eigenvalue {low:.3e} below -{NEG_TOL:.0e} * {power:.3e}")
     return BeamformingSolution(
         v=v, u_tilde=u, m=m, theta=theta,
         # the dense covariance lives only inside sensing_factor, which frees it
-        sensing_factor=sensing_factor(_dense_sensing(u, m, theta), power),
+        sensing_factor=sensing_factor(_dense_sensing(u, m, theta)),
         objective=trace_inverse(np.linalg.eigvalsh(total), theta, n_tx - k),
         sinr=evaluate_sinr(instance.h_tilde, v, m + theta * np.eye(k), instance.noise_power),
     )
@@ -117,20 +123,11 @@ def extract_rank_one(x_star, instance):
     return range_solution(instance, v, x_star.sum(axis=0), theta)
 
 
-def sensing_factor(cov, scale):
-    """Rank-revealing square root F with F F^H = cov.
-
-    Eigenvalue-based rather than Cholesky because the sensing covariance is
-    typically rank deficient.  `scale` is the trace of the total covariance
-    R that cov was taken from as R - W W^H, so its rounding is judged against
-    R: a sensing covariance that is all rounding (theta = 0, rank-one blocks)
-    is not a negative one.  Eigenvalues below -NEG_TOL * scale raise NotPSD;
-    smaller negatives are clipped to zero.
-    """
+def sensing_factor(cov):
+    """Rank-revealing square root F with F F^H = cov, by `eigh` because cov is
+    typically rank deficient; eigenvalues <= 1e-14 * lambda_max are dropped."""
     eigs, vecs = np.linalg.eigh(cov)
     del cov  # the caller passes its only reference: free it before the scaling
-    if eigs[0] < -NEG_TOL * scale:
-        raise NotPSD(f"eigenvalue {eigs[0]:.3e} below -{NEG_TOL:.0e} * {scale:.3e}")
     # eigh sorts ascending: scale the kept suffix of vecs in place, uncopied
     first = np.searchsorted(eigs, 1e-14 * eigs[-1], side="right")
     factor = vecs[:, first:]

@@ -20,7 +20,7 @@ SCREEN_MAX_STEPS = 50
 
 
 class IllConditionedDual(Exception):
-    """Cholesky of the dual Schur complement failed; try a larger delta."""
+    """Cholesky of the dual Schur complement failed; it is >= delta I, so only rounding can."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,8 @@ class DegeneracyVerdict:
 def build_reduced(scenario, channel):
     """Project (scenario, channel) onto the K-dimensional range space."""
     channel = np.asarray(channel)
+    if channel.shape != (shape := (scenario.n_tx, scenario.n_users)):
+        raise ValueError(f"channel shape {channel.shape} is not (n_tx, n_users) = {shape}")
     u_tilde, _, _ = compact_svd(channel)
     h_tilde = u_tilde.conj().T @ channel
     rho = 1.0 + 1.0 / np.asarray(scenario.sinr_thresholds, dtype=float)

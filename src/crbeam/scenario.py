@@ -30,12 +30,15 @@ class Scenario:
     noise_power: float
 
     def __post_init__(self):
+        sizes = (self.n_tx, self.n_users)
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes) or sizes[1] < 1:
+            raise ValueError(f"n_tx and n_users must be integers >= 1, got {sizes}")
+        if self.n_tx <= self.n_users:
+            raise ValueError(f"need n_tx > n_users, got {self.n_tx} <= {self.n_users}")
         thresholds = np.asarray(self.sinr_thresholds, dtype=float)
         if thresholds.ndim == 0:
             thresholds = np.full(self.n_users, thresholds)
         object.__setattr__(self, "sinr_thresholds", thresholds)
-        if self.n_tx <= self.n_users:
-            raise ValueError(f"need n_tx > n_users, got {self.n_tx} <= {self.n_users}")
         if thresholds.shape != (self.n_users,):
             raise ValueError(f"sinr_thresholds must be a scalar or hold n_users = {self.n_users} entries")
         values = np.append(thresholds, [self.power_budget, self.noise_power])

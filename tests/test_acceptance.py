@@ -34,7 +34,7 @@ def iterative_solve(scenario, channel):
     """
     feasibility = compute_p_low(scenario, channel)
     instance = build_reduced(scenario, channel)
-    dual = precompute_dual(instance, SolverConfig().delta)
+    dual = precompute_dual(instance, 1e-4)  # the pipeline's delta
     init = initial_state(instance, p_low=feasibility.p_low)
     state, rep = solve(instance, dual, SolverConfig(), init=init)
     return feasibility, rep, extract_rank_one(state.x, instance)

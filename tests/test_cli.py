@@ -56,6 +56,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             load_config(p)
 
+    def test_delta_is_unknown_field(self, tmp_path, capsys):
+        """The dual regularization is fixed in the pipeline, not a config knob."""
+        p = write_config(tmp_path / "c.json", delta=1e-4)
+        assert main(["solve", "--config", str(p), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["config error: unknown config fields: ['delta']"]
+
     def test_solver_defaults_come_from_solver_config(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"n_tx": 8, "n_users": 2}))
@@ -104,7 +112,7 @@ class TestConfig:
         assert main(["solve", "--config", str(p)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["tau", "delta", "tol"])
+    @pytest.mark.parametrize("name", ["tau", "tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     def test_non_finite_solver_setting_is_config_error(self, tmp_path, capsys, name, value):
         """json reads NaN and Infinity; neither may reach the solver, where a

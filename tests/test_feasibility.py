@@ -212,6 +212,22 @@ class TestPipeline:
         direct = compute_p_low(sc, h).p_low
         assert abs(result.feasibility.p_low - direct) <= 1e-14 * direct
 
+    @pytest.mark.parametrize("shape", [(6, 2), (12, 2), (8, 3)], ids=["6x2", "12x2", "8x3"])
+    def test_channel_of_another_shape_raises(self, shape):
+        """A channel that does not match its scenario is rejected, not solved
+        for the wrong array; compute_p_low needs only one column per user,
+        because the pipeline passes it U^H H."""
+        sc = Scenario(8, 2, 100.0, 10.0, 1.0)
+        rng = np.random.default_rng(0)
+        h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        with pytest.raises(ValueError, match="channel shape"):
+            solve_scenario(sc, h)
+        if shape[1] == sc.n_users:
+            assert compute_p_low(sc, h).p_low > 0
+        else:
+            with pytest.raises(ValueError, match="channel shape"):
+                compute_p_low(sc, h)
+
     def test_rank_deficient_channel_raises(self):
         sc = make_scenario(12, 3)
         h = generate_channel(sc, 1)

@@ -307,7 +307,7 @@ def test_config_validation_iteration_counts(name, value):
     assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
 
 
-@pytest.mark.parametrize("name", ["tau", "delta", "tol_violation"])
+@pytest.mark.parametrize("name", ["tau", "tol_violation"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_config_validation_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
@@ -318,4 +318,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tau=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(delta=0.0)
+        SolverConfig(tol_violation=0.0)

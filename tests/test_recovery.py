@@ -113,7 +113,7 @@ class TestExtractRankOne:
 
 
 def assert_matches_dense(sol, full_ref, w_ref):
-    """The builder's covariances and objective against a dense construction."""
+    """The builder's covariances, objective and PSD-check spectrum against a dense construction."""
     scale = np.linalg.norm(full_ref)
     w = np.column_stack(sol.w)
     assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
@@ -122,6 +122,12 @@ def assert_matches_dense(sol, full_ref, w_ref):
     assert np.linalg.norm(sol.sensing_cov - sensing_ref) <= 1e-12 * scale
     assert np.linalg.norm(sol.sensing_cov - (sol.full_cov - w @ w.conj().T)) <= 1e-12 * scale
     assert sol.objective == pytest.approx(evaluate_crb_objective(sol.full_cov), rel=1e-12)
+    # the PSD check reads lambda_min(M) + theta: lambda_min of the sensing covariance
+    # is min(lambda_min(M + theta I), theta)
+    power = np.trace(full_ref).real
+    block = np.linalg.eigvalsh(sol.m + sol.theta * np.eye(len(sol.m)))[0]
+    assert abs(min(block, sol.theta) - np.linalg.eigvalsh(sol.sensing_cov)[0]) <= 1e-12 * power
+    assert abs(np.linalg.eigvalsh(sol.m)[0] + sol.theta - block) <= 1e-12 * power
 
 
 class TestRangeSolution:
@@ -178,6 +184,34 @@ class TestRangeSolution:
         assert (sol.objective == np.inf) == (dense == np.inf) == (level < 1e-12)
         if dense < np.inf:
             assert sol.objective == pytest.approx(dense, rel=1e-6)
+
+    @staticmethod
+    def block_solution(diagonal, theta=0.0):
+        """range_solution on a 12x3 instance whose sensing block M + theta I is
+        diag(diagonal), diagonal[-1] = 0, and tr R = 1: the third beamformer,
+        v_3 = s e_3, carries what the block and the null space leave.  With
+        theta = 0 the block is exact."""
+        scenario = make_scenario(12, 3)
+        inst = build_reduced(scenario, generate_channel(scenario, 1))
+        v = np.zeros((3, 3), dtype=complex)
+        v[2, 2] = np.sqrt(1.0 - sum(diagonal) - 9 * theta)
+        return range_solution(inst, v, np.diag(diagonal) + v @ v.conj().T, theta)
+
+    def test_not_psd_raises(self):
+        with pytest.raises(NotPSD):
+            self.block_solution([1.0, -0.5, 0.0])
+        # theta enters the sensing spectrum once: -0.06 + 2 theta would pass
+        with pytest.raises(NotPSD):
+            self.block_solution([0.3, -0.06, 0.0], theta=0.07)
+
+    def test_rounding_judged_against_total(self):
+        """A sensing covariance that is all rounding, as theta = 0 with
+        rank-one blocks leaves it, is judged against tr R, not its own size."""
+        sol = self.block_solution([-2e-18, 1e-18, 0.0])
+        assert np.array_equal(sol.m, np.diag([-2e-18, 1e-18, 0.0]))
+        assert sol.sensing_factor.shape == (12, 1)
+        with pytest.raises(NotPSD):
+            self.block_solution([-2e-8, 1e-18, 0.0])
 
     @pytest.mark.parametrize("isotropic", [True, False])
     def test_range_basis_sinr_matches_dense(self, isotropic, solved_k3):
@@ -263,12 +297,12 @@ class TestSensingFactor:
     def test_rank_one(self):
         cov = np.zeros((4, 4), dtype=complex)
         cov[0, 0] = 4.0
-        f = sensing_factor(cov, 4.0)
+        f = sensing_factor(cov)
         assert f.shape == (4, 1)
         assert np.allclose(f @ f.conj().T, cov, atol=1e-12)
 
     def test_identity(self):
-        f = sensing_factor(np.eye(3, dtype=complex), 3.0)
+        f = sensing_factor(np.eye(3, dtype=complex))
         assert f.shape == (3, 3)
         assert np.allclose(f @ f.conj().T, np.eye(3), atol=1e-12)
 
@@ -281,18 +315,6 @@ class TestSensingFactor:
         assert np.allclose(gram, theta * np.eye(f.shape[1]), atol=1e-8 * theta)
         assert np.allclose(f @ f.conj().T, sol.sensing_cov, atol=1e-8 * theta)
 
-    def test_not_psd_raises(self):
-        with pytest.raises(NotPSD):
-            sensing_factor(np.diag([1.0, -0.5]), 1.5)
-
     def test_small_negatives_clipped(self):
-        f = sensing_factor(np.diag([1.0, -1e-12]), 1.0)
+        f = sensing_factor(np.diag([1.0, -1e-12]))
         assert f.shape[1] == 1
-
-    def test_rounding_judged_against_total(self):
-        """A sensing covariance that is all rounding, as theta = 0 with
-        rank-one blocks leaves it, is clipped against tr R, not its own size."""
-        f = sensing_factor(np.diag([-2e-18, 1e-18, 0.0]), 1.0)
-        assert f.shape == (3, 1)
-        with pytest.raises(NotPSD):
-            sensing_factor(np.diag([-2e-8, 1e-18, 0.0]), 1.0)

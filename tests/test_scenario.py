@@ -42,6 +42,12 @@ def test_scenario_validation():
         Scenario(8, 3, 10.0, np.array([5.0]), 1.0)  # a list needs one entry per user
     sc = Scenario(8, 3, 10.0, 5.0, 1.0)  # scalar threshold broadcast
     assert sc.sinr_thresholds.shape == (3,)
+    # sizes are integers >= 1: no bools or floats, numpy integers are fine
+    for n_tx, n_users in ((4, 0), (4.5, 2), (4, 2.0), (True, 1), (4, True), ("4", 2), (4, -1)):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            Scenario(n_tx, n_users, 1.0, 10.0, 1.0)
+    sc = Scenario(np.int64(4), np.int32(2), 1.0, 10.0, 1.0)
+    assert sc.sinr_thresholds.shape == (2,)
 
 
 class TestGenerateChannel:
