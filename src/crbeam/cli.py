@@ -32,7 +32,6 @@ class RunConfig:
     p_t_dbm: float = 20.0
     gamma_db: object = 10.0        # scalar or per-user list
     sigma2_dbm: float = 0.0
-    tau: float | None = SolverConfig.tau
     tol: float = SolverConfig.tol_violation
     max_iters: int = SolverConfig.max_iterations
     trials: int = 1
@@ -96,9 +95,9 @@ def load_config(path):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
-        cfg.solver = SolverConfig(tau=cfg.tau, tol_violation=cfg.tol, max_iterations=cfg.max_iters)
-    except (TypeError, ValueError) as exc:  # e.g. "tau": -1, "tau": "1" or "max_iters": 2.5
-        raise ConfigError(f"invalid solver setting (tau, tol, max_iters): {exc}") from exc
+        cfg.solver = SolverConfig(tol_violation=cfg.tol, max_iterations=cfg.max_iters)
+    except (TypeError, ValueError) as exc:  # e.g. "tol": -1, "tol": "1" or "max_iters": 2.5
+        raise ConfigError(f"invalid solver setting (tol, max_iters): {exc}") from exc
 
     cfg.scenario = _scenario(cfg, cfg.n_tx, cfg.n_users)
     if cfg.sweep is not None:

@@ -25,20 +25,17 @@ from .linalg import monotone_scalar_root, positive_cubic_root, trace_inverse  # 
 
 
 class NumericalDivergence(Exception):
-    """Non-finite value in the solver state; try a smaller stepsize."""
+    """Non-finite value in the solver state."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tau: float | None = None          # None -> norm-scaled default stepsize
     tol_violation: float = 1e-9
     max_iterations: int = 200000
 
     def __post_init__(self):
-        for name in ("tol_violation",) + (() if self.tau is None else ("tau",)):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:  # NaN fails every comparison
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0 < self.tol_violation < np.inf:  # NaN fails every comparison
+            raise ValueError(f"tol_violation must be finite and positive, got {self.tol_violation!r}")
         value = self.max_iterations
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
             raise ValueError(f"max_iterations must be an integer >= 0, got {value!r}")
@@ -65,17 +62,22 @@ class SolveReport:
     objective: float
 
 
-def _water_level(eigs, budget):
-    """Smallest t >= 0 with sum(max(eigs - t, 0)) <= budget."""
-    positive = eigs[eigs > 0.0]
-    if positive.sum() <= budget:
-        return 0.0
-    s = np.sort(positive)[::-1]
+def _survivors(eigs, budget, c):
+    """m = #{positive eigenvalues s: gap(s) > 0 and s gap(s)^2 >= c}, where
+    gap(s) = budget - sum(max(eigs - s, 0)), and the sum of the top m: gap
+    falls down the sorted list, so the survivors are always the top m."""
+    s = np.sort(eigs[eigs > 0.0])[::-1]
     csum = np.cumsum(s)
-    counts = np.arange(1, s.size + 1)
-    levels = (csum - budget) / counts
-    keep = np.nonzero(s > levels)[0][-1]
-    return levels[keep]
+    gap = budget - (csum - np.arange(1, s.size + 1) * s)
+    m = int(np.count_nonzero((gap > 0.0) & (s * gap * gap >= c)))
+    return m, csum[m - 1] if m else 0.0
+
+
+def _water_level(eigs, budget):
+    """Smallest t >= 0 with sum(max(eigs - t, 0)) <= budget: the top m
+    eigenvalues with gap > 0 survive, and t = (their sum - budget) / m."""
+    m, top = _survivors(eigs, budget, 0.0)
+    return max((top - budget) / m, 0.0) if m else 0.0
 
 
 def _spectral_step(m, eig_map):
@@ -104,18 +106,14 @@ def _z_shrink_level(eigs, tau, budget, null_dim):
     and gap(lam) = budget - sum(max(eigs - lam, 0)).
 
     gap(lam) - sqrt(c / lam) increases strictly from -inf to budget, so an
-    eigenvalue s survives the shrinkage iff gap(s) > 0 and s gap(s)^2 > c.
+    eigenvalue s survives the shrinkage iff gap(s) > 0 and s gap(s)^2 >= c.
     With the top m surviving, gap solves prox_y's cubic
-    gap^3 - (budget - top-m sum) gap^2 - m c = 0, and lam = c / gap^2.
+    gap^3 - (budget - top-m sum) gap^2 - m c = 0 (gap = budget if m = 0),
+    and lam = c / gap^2.
     """
     c = tau * float(null_dim) ** 2
-    s = np.sort(eigs[eigs > 0.0])[::-1]
-    csum = np.cumsum(s)
-    gap = budget - (csum - np.arange(1, s.size + 1) * s)
-    m = int(np.count_nonzero((gap > 0.0) & (s * gap * gap > c)))
-    if m == 0:
-        return c / budget**2
-    return c / positive_cubic_root(budget - csum[m - 1], m * c) ** 2
+    m, top = _survivors(eigs, budget, c)
+    return c / (positive_cubic_root(budget - top, m * c) if m else budget) ** 2
 
 
 def prox_z(z_tilde, tau, power_budget, n_tx, n_users):
@@ -224,13 +222,13 @@ def objective_value(state, instance):
 
 
 def solve(instance, dual, config, init):
-    """Run sweeps from `init` until the violation norm drops below
-    config.tol_violation.
+    """Run sweeps at default_stepsize(instance) from `init` until the
+    violation norm drops below config.tol_violation.
 
     Returns (final_state, SolveReport).  Hitting the iteration cap is reported
     via status "iteration_cap", not an exception.
     """
-    tau = default_stepsize(instance) if config.tau is None else config.tau
+    tau = default_stepsize(instance)
     state = init
 
     for steps in range(config.max_iterations + 1):

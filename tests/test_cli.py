@@ -64,6 +64,14 @@ class TestConfig:
         assert captured.out == ""
         assert captured.err.splitlines() == ["config error: unknown config fields: ['delta']"]
 
+    def test_tau_is_unknown_field(self, tmp_path, capsys):
+        """The solver always runs at its default stepsize, so tau is not a config knob."""
+        p = write_config(tmp_path / "c.json", tau=-1)
+        assert main(["solve", "--config", str(p), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["config error: unknown config fields: ['tau']"]
+
     def test_solver_defaults_come_from_solver_config(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"n_tx": 8, "n_users": 2}))
@@ -100,7 +108,7 @@ class TestConfig:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, value", [
-        ("n_tx", "64"), ("n_users", 0), ("n_tx", 8.5), ("tau", -1), ("trials", True),
+        ("n_tx", "64"), ("n_users", 0), ("n_tx", 8.5), ("tol", -1), ("trials", True),
         ("p_t_dbm", None), ("gamma_db", "abc"), ("gamma_db", [10, "x"]), ("gamma_db", {"a": 1}),
         ("sigma2_dbm", "5"), ("p_t_dbm", 1e400),
         ("max_iters", -1), ("max_iters", 2.5), ("max_iters", True),
@@ -112,7 +120,7 @@ class TestConfig:
         assert main(["solve", "--config", str(p)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["tau", "tol"])
+    @pytest.mark.parametrize("name", ["tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     def test_non_finite_solver_setting_is_config_error(self, tmp_path, capsys, name, value):
         """json reads NaN and Infinity; neither may reach the solver, where a

@@ -41,6 +41,15 @@ class TestProxX:
         total = sum(np.trace(b).real for b in out)
         assert total == pytest.approx(4.0, rel=1e-12)
 
+    def test_budget_below_rounding(self):
+        """A budget below the rounding of the top eigenvalue: the water level
+        1 - 1e-17 rounds to 1.0, so no eigenvalue is left above it."""
+        level = rbal._water_level(np.array([1.0]), 1e-17)
+        assert 0.0 <= max(1.0 - level, 0.0) <= 1e-17
+        out = prox_x(diag_stack([1.0, 0.5], [0.25, -1.0]), power_budget=1e-17)
+        assert np.all(np.linalg.eigvalsh(out) >= 0.0)
+        assert sum(np.trace(b).real for b in out) <= 1e-17
+
     def test_noop_within_budget(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
@@ -252,6 +261,35 @@ class TestSolve:
         assert report.status == "iteration_cap"
         assert report.iterations == 5
 
+    def test_runs_at_default_stepsize(self):
+        """N capped sweeps of solve are N sweeps of iterate at default_stepsize, bit for bit."""
+        scenario, channel = constrained_instance(12, 3, seed=4, factor=3.0)
+        inst = build_reduced(scenario, channel)
+        dual = precompute_dual(inst, 1e-4)
+        init = initial_state(inst, compute_p_low(scenario, channel).p_low)
+        state, report = solve(inst, dual, SolverConfig(max_iterations=20), init)
+        assert report.status == "iteration_cap"
+        expect, tau = init, default_stepsize(inst)
+        for _ in range(20):
+            expect = iterate(expect, inst, dual, tau)
+        for name in ("x", "y", "z", "mu", "omega1", "omega2"):
+            assert getattr(state, name).tobytes() == getattr(expect, name).tobytes(), name
+        assert state.iteration == expect.iteration == 20
+
+    def test_budget_below_rounding_in_a_sweep(self):
+        """At sigma^2 = 1e-10 with the channel scaled by 1e6, P_T = 3 p_low is
+        1.6e-21, and the second sweep hands prox_x a budget below the rounding
+        of its top eigenvalue: the blocks stay PSD and within the budget."""
+        probe = make_scenario(12, 3, 1.0, noise=1e-10)
+        channel = 1e6 * generate_channel(probe, 1)
+        p_low = compute_p_low(probe, channel).p_low
+        inst = build_reduced(make_scenario(12, 3, 3.0 * p_low, noise=1e-10), channel)
+        config = SolverConfig(max_iterations=2)
+        state, _ = solve(inst, precompute_dual(inst, 1e-4), config, initial_state(inst, p_low))
+        assert state.iteration == 2
+        assert np.all(np.linalg.eigvalsh(state.x) >= 0.0)
+        assert sum(np.trace(b).real for b in state.x) <= inst.power_budget
+
     def test_fewer_users_lower_objective(self):
         # dropping users of the same channel relaxes the problem, so the
         # optimal trace-inverse can only go down
@@ -307,7 +345,7 @@ def test_config_validation_iteration_counts(name, value):
     assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
 
 
-@pytest.mark.parametrize("name", ["tau", "tol_violation"])
+@pytest.mark.parametrize("name", ["tol_violation"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_config_validation_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
@@ -316,6 +354,10 @@ def test_config_validation_non_finite(name, value):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tau=-1.0)
-    with pytest.raises(ValueError):
         SolverConfig(tol_violation=0.0)
+
+
+def test_config_has_no_stepsize():
+    """solve always runs at default_stepsize; a fixed stepsize is iterate's argument."""
+    with pytest.raises(TypeError):
+        SolverConfig(tau=0.1)
