@@ -4,33 +4,4 @@ The solver works in the K-dimensional subspace spanned by the user channels,
 so its per-iteration cost is independent of the transmit array size.
 """
 
-from .scenario import Scenario, generate_channel, dbm_to_linear, linear_to_dbm
-from .feasibility import FeasibilityReport, compute_p_low
-from .reduction import ReducedInstance, DualPrecompute, build_reduced, precompute_dual, check_degenerate
-from .rbal import SolverConfig, SolverState, SolveReport, solve
-from .recovery import BeamformingSolution, extract_rank_one
-from .pipeline import PipelineResult, solve_scenario
-
-__all__ = [
-    "Scenario",
-    "generate_channel",
-    "dbm_to_linear",
-    "linear_to_dbm",
-    "FeasibilityReport",
-    "compute_p_low",
-    "ReducedInstance",
-    "DualPrecompute",
-    "build_reduced",
-    "precompute_dual",
-    "check_degenerate",
-    "SolverConfig",
-    "SolverState",
-    "SolveReport",
-    "solve",
-    "BeamformingSolution",
-    "extract_rank_one",
-    "PipelineResult",
-    "solve_scenario",
-]
-
 __version__ = "0.1.0"

@@ -103,6 +103,8 @@ def load_config(path):
     if cfg.sweep is not None:
         if not isinstance(cfg.sweep, dict):
             raise ConfigError("sweep must be an object with 'parameter' and 'values'")
+        if unknown := set(cfg.sweep) - {"parameter", "values"}:
+            raise ConfigError(f"unknown sweep fields: {sorted(unknown)}")
         param = cfg.sweep.get("parameter")
         values = cfg.sweep.get("values")
         if param not in ("K", "Nt"):

@@ -46,7 +46,7 @@ def solve_scenario(scenario, channel, config=None):
         elapsed = time.perf_counter() - t0
         return PipelineResult(report, True, solution, None, solution.objective, elapsed, 0.0)
 
-    dual = precompute_dual(instance, 1e-4)  # delta, the dual normal matrix's regularization
+    dual = precompute_dual(instance)
     init = initial_state(instance, p_low=report.p_low)
     setup_seconds = time.perf_counter() - t0
 

@@ -17,6 +17,7 @@ from .linalg import compact_svd
 
 # exponentiated-gradient steps before the isotropic screen defers to the solver
 SCREEN_MAX_STEPS = 50
+DELTA = 1e-4  # delta of D D^H + delta I, the dual normal matrix the structured dual update inverts
 
 
 class IllConditionedDual(Exception):
@@ -94,31 +95,29 @@ def build_reduced(scenario, channel):
     )
 
 
-def precompute_dual(instance, delta):
+def precompute_dual(instance):
     """Assemble kappa, alpha, beta, Theta_1, Theta_2 and the Schur matrix L.
 
     L is the K x K Schur complement of the regularized dual normal matrix;
     only its Cholesky factor is kept, and every iteration reuses it.
     """
-    if not 0 < delta < np.inf:  # NaN fails every comparison
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     rho = instance.rho
     k = instance.n_users
     gram_abs2 = np.abs(instance.h_tilde.conj().T @ instance.h_tilde) ** 2  # |H^H H|^2 entrywise
 
-    alpha = k + 1.0 + delta
-    beta = delta + 2.0
+    alpha = k + 1.0 + DELTA
+    beta = DELTA + 2.0
     kappa = 1.0 / (alpha * beta - 1.0)
     theta1 = kappa * (1.0 - beta * rho - beta)
     theta2 = kappa * (alpha - rho - 1.0)
 
     rho1 = rho + 1.0
     p_matrix = beta * np.outer(rho1, rho1) - rho1[:, None] - rho1[None, :] + alpha
-    schur = delta * np.eye(k) + gram_abs2 * (np.diag(rho**2) + np.ones((k, k)) - kappa * p_matrix)
+    schur = DELTA * np.eye(k) + gram_abs2 * (np.diag(rho**2) + np.ones((k, k)) - kappa * p_matrix)
     try:
         l_factor = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError as exc:
-        raise IllConditionedDual(f"Cholesky of L failed for delta={delta}: {exc}") from exc
+        raise IllConditionedDual(f"Cholesky of L failed for delta={DELTA}: {exc}") from exc
     return DualPrecompute(
         kappa=float(kappa),
         alpha=float(alpha),

@@ -15,7 +15,7 @@ import numpy as np
 from crbeam.feasibility import compute_p_low
 from crbeam.pipeline import solve_scenario
 from crbeam.rbal import SolverState, default_stepsize, initial_state, iterate, prox_x, prox_y, prox_z
-from crbeam.reduction import build_reduced, precompute_dual
+from crbeam.reduction import DELTA, build_reduced, precompute_dual
 from crbeam.scenario import generate_channel
 from crbeam.verification import kkt_residuals
 from conftest import make_scenario
@@ -32,7 +32,7 @@ def _unvec(v, k):
 @dataclass(frozen=True)
 class DenseSystem:
     """Literal constraint operator D and right-hand side b, plus the normal
-    matrix D D^H + delta I and its dense factorization."""
+    matrix D D^H + delta I (delta = reduction.DELTA) and its dense factorization."""
 
     d: np.ndarray
     b: np.ndarray
@@ -40,7 +40,7 @@ class DenseSystem:
     normal_factor: np.ndarray   # lower Cholesky factor
 
 
-def build_dense_system(instance, delta):
+def build_dense_system(instance):
     """Assemble D = [A; B; C] row blocks exactly as defined.
 
     Row block 1 (K rows): SINR equalities, rho_k vec(Q_k)^H on the k-th x
@@ -66,7 +66,7 @@ def build_dense_system(instance, delta):
     b = np.zeros(m, dtype=complex)
     b[:k] = instance.noise_power
 
-    normal = d @ d.conj().T + delta * np.eye(m)
+    normal = d @ d.conj().T + DELTA * np.eye(m)
     return DenseSystem(d=d, b=b, normal=normal, normal_factor=np.linalg.cholesky(normal))
 
 
@@ -138,10 +138,9 @@ def assemble_structured_inverse(instance, dual):
     ])
 
 
-def dense_dual_inverse_check(instance, dual, delta):
-    """Max-abs entry of structured_inverse @ (D D^H + delta I) - I, for the
-    `dual` that precompute_dual built with this delta."""
-    normal = build_dense_system(instance, delta).normal
+def dense_dual_inverse_check(instance, dual):
+    """Max-abs entry of structured_inverse @ (D D^H + delta I) - I."""
+    normal = build_dense_system(instance).normal
     structured = assemble_structured_inverse(instance, dual)
     return float(np.max(np.abs(structured @ normal - np.eye(normal.shape[0]))))
 
@@ -171,11 +170,10 @@ def scalar_oracle_k1(scenario, channel):
     return x_opt, objective, x_opt > x_min
 
 
-def dual_inverse_error(n_users, delta, seed=11):
+def dual_inverse_error(n_users, seed=11):
     scenario = make_scenario(4 * n_users, n_users)
     instance = build_reduced(scenario, generate_channel(scenario, seed))
-    dual = precompute_dual(instance, delta)
-    return dense_dual_inverse_check(instance, dual, delta)
+    return dense_dual_inverse_check(instance, precompute_dual(instance))
 
 
 def trajectory_gap(n_users, iterations, seed=5):
@@ -184,9 +182,8 @@ def trajectory_gap(n_users, iterations, seed=5):
     scenario = make_scenario(4 * n_users, n_users)
     channel = generate_channel(scenario, seed)
     instance = build_reduced(scenario, channel)
-    delta = 1e-4
-    dual = precompute_dual(instance, delta)
-    dense = build_dense_system(instance, delta)
+    dual = precompute_dual(instance)
+    dense = build_dense_system(instance)
     tau = default_stepsize(instance)
 
     struct = ref = initial_state(instance, compute_p_low(scenario, channel).p_low)

@@ -34,7 +34,7 @@ def iterative_solve(scenario, channel):
     """
     feasibility = compute_p_low(scenario, channel)
     instance = build_reduced(scenario, channel)
-    dual = precompute_dual(instance, 1e-4)  # the pipeline's delta
+    dual = precompute_dual(instance)
     init = initial_state(instance, p_low=feasibility.p_low)
     state, rep = solve(instance, dual, SolverConfig(), init=init)
     return feasibility, rep, extract_rank_one(state.x, instance)
@@ -89,12 +89,10 @@ def test_criterion_02_structured_dual_inverse():
     t0 = time.perf_counter()
     worst = 0.0
     for k in (1, 2, 3, 6):
-        for delta in (1e-4, 1e-2):
+        for seed in (17 * k + 1, 17 * k + 100):
             scenario = make_scenario(4 * k, k)
-            channel = generate_channel(scenario, 17 * k + int(delta * 1e4))
-            instance = build_reduced(scenario, channel)
-            dual = precompute_dual(instance, delta)
-            worst = max(worst, dense_dual_inverse_check(instance, dual, delta))
+            instance = build_reduced(scenario, generate_channel(scenario, seed))
+            worst = max(worst, dense_dual_inverse_check(instance, precompute_dual(instance)))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
     assert elapsed < 30.0
@@ -191,7 +189,7 @@ def test_criterion_07_antenna_count_independence():
             s0 = time.perf_counter()
             p_low = compute_p_low(scenario, channel).p_low
             instance = build_reduced(scenario, channel)
-            dual = precompute_dual(instance, 1e-4)
+            dual = precompute_dual(instance)
             best_setup = min(best_setup, time.perf_counter() - s0)
         setup[n_tx] = best_setup
 

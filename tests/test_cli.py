@@ -1,10 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crbeam.cli
+import crbeam.recovery
 import crbeam.scenario
 import crbeam.verification
 from crbeam.cli import ConfigError, RESULT_COLUMNS, load_config, main
@@ -100,6 +102,9 @@ class TestConfig:
             load_config(p)
         p = write_config(tmp_path / "c.json", sweep={"parameter": "K", "values": [4, 16]})
         with pytest.raises(ConfigError, match="n_tx > n_users"):
+            load_config(p)
+        p = write_config(tmp_path / "c.json", sweep={"parameter": "K", "values": [1, 2], "extra": 1})
+        with pytest.raises(ConfigError, match=r"^unknown sweep fields: \['extra'\]$"):
             load_config(p)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
@@ -467,6 +472,46 @@ class TestSweepCommand:
     def test_sweep_requires_sweep_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+
+
+class Untouchable:
+    """Stands in for the dense sensing factor: any read of it raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"the dense sensing factor was read: .{name}")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the dense sensing factor was converted to an array")
+
+
+def test_no_output_reads_the_dense_factor(tmp_path, capsys, monkeypatch):
+    """solve --full-check on both paths and a sweep print and write the same
+    with the dense factor stubbed: no output depends on it."""
+    iterative = tmp_path / "iterative.json"
+    iterative.write_text(json.dumps({"n_tx": 12, "n_users": 3, "p_t_dbm": 12.0358}))
+    sweep = write_config(tmp_path / "sweep.json", n_tx=64, n_users=4, p_t_dbm=20.0, trials=1,
+                         sweep={"parameter": "K", "values": [2, 4]})
+    default = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "default.json"
+    sol, csv_out = tmp_path / "sol.json", tmp_path / "rows.csv"
+    timing = {RESULT_COLUMNS.index("setup_seconds"), RESULT_COLUMNS.index("iter_seconds_total")}
+
+    def outputs():
+        runs = []
+        for cfg in (default, iterative):
+            assert main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(sol), "--full-check"]) == 0
+            runs.append((capsys.readouterr().out, sol.read_text()))
+        assert main(["sweep", "--config", str(sweep), "--out", str(csv_out)]) == 0
+        with open(csv_out, newline="") as fh:
+            rows = [[v for i, v in enumerate(r) if i not in timing] for r in csv.reader(fh)]
+        return runs, capsys.readouterr().out, rows
+
+    plain = outputs()
+    (_, (iterative_out, _)), _, _ = plain
+    assert iterative_out.startswith("status: converged   iterations: 3448\n")
+    stubbed = []
+    monkeypatch.setattr(crbeam.recovery, "sensing_factor", lambda cov: stubbed.append(1) or Untouchable())
+    assert outputs() == plain
+    assert len(stubbed) == 4  # two solves and two sweep points built an answer
 
 
 class TestFeasibilityCommand:

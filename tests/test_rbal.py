@@ -164,7 +164,7 @@ class TestIterate:
     def make(self, seed=6):
         scenario, channel = constrained_instance(12, 3, seed=seed, factor=3.0)
         inst = build_reduced(scenario, channel)
-        dual = precompute_dual(inst, 1e-4)
+        dual = precompute_dual(inst)
         self.p_low = compute_p_low(scenario, channel).p_low
         return inst, dual, default_stepsize(inst)
 
@@ -186,7 +186,7 @@ class TestIterate:
 
     def test_stepsize_matches_dense_frobenius_norm(self):
         inst, _, _ = self.make()
-        dense = build_dense_system(inst, 1e-4)
+        dense = build_dense_system(inst)
         fro = np.linalg.norm(dense.d)
         assert default_stepsize(inst) == pytest.approx(0.9 / fro, rel=1e-12)
 
@@ -205,7 +205,7 @@ class TestSolve:
         sc = Scenario(4, 1, 8.0, np.array([10.0]), 1.0)
         h = np.array([[1.0], [1.0], [0.0], [0.0]], dtype=complex)
         inst = build_reduced(sc, h)
-        dual = precompute_dual(inst, 1e-4)
+        dual = precompute_dual(inst)
         p_low = compute_p_low(sc, h).p_low
         state, report = solve(inst, dual, SolverConfig(), initial_state(inst, p_low))
         assert report.status == "converged"
@@ -224,7 +224,7 @@ class TestSolve:
     def test_warm_start_is_immediate(self, solved_k3):
         scenario, channel, _ = solved_k3
         inst = build_reduced(scenario, channel)
-        dual = precompute_dual(inst, 1e-4)
+        dual = precompute_dual(inst)
         p_low = compute_p_low(scenario, channel).p_low
         state, report = solve(inst, dual, SolverConfig(), initial_state(inst, p_low))
         state2, report2 = solve(inst, dual, SolverConfig(), init=state)
@@ -236,7 +236,7 @@ class TestSolve:
         # means decay smoothly, with bounded flutter near the stopping floor
         scenario, channel = constrained_instance(12, 3, seed=4, factor=3.0)
         inst = build_reduced(scenario, channel)
-        dual = precompute_dual(inst, 1e-4)
+        dual = precompute_dual(inst)
         config = SolverConfig()
         tau = default_stepsize(inst)
         state = initial_state(inst, compute_p_low(scenario, channel).p_low)
@@ -255,7 +255,7 @@ class TestSolve:
     def test_iteration_cap_status(self):
         scenario, channel = constrained_instance(12, 3, seed=4, factor=3.0)
         inst = build_reduced(scenario, channel)
-        dual = precompute_dual(inst, 1e-4)
+        dual = precompute_dual(inst)
         p_low = compute_p_low(scenario, channel).p_low
         _, report = solve(inst, dual, SolverConfig(max_iterations=5), initial_state(inst, p_low))
         assert report.status == "iteration_cap"
@@ -265,7 +265,7 @@ class TestSolve:
         """N capped sweeps of solve are N sweeps of iterate at default_stepsize, bit for bit."""
         scenario, channel = constrained_instance(12, 3, seed=4, factor=3.0)
         inst = build_reduced(scenario, channel)
-        dual = precompute_dual(inst, 1e-4)
+        dual = precompute_dual(inst)
         init = initial_state(inst, compute_p_low(scenario, channel).p_low)
         state, report = solve(inst, dual, SolverConfig(max_iterations=20), init)
         assert report.status == "iteration_cap"
@@ -285,7 +285,7 @@ class TestSolve:
         p_low = compute_p_low(probe, channel).p_low
         inst = build_reduced(make_scenario(12, 3, 3.0 * p_low, noise=1e-10), channel)
         config = SolverConfig(max_iterations=2)
-        state, _ = solve(inst, precompute_dual(inst, 1e-4), config, initial_state(inst, p_low))
+        state, _ = solve(inst, precompute_dual(inst), config, initial_state(inst, p_low))
         assert state.iteration == 2
         assert np.all(np.linalg.eigvalsh(state.x) >= 0.0)
         assert sum(np.trace(b).real for b in state.x) <= inst.power_budget

@@ -28,7 +28,7 @@ def single_user_setup():
 def converged(n_tx, k, seed):
     scenario, channel = constrained_instance(n_tx, k, seed=seed, factor=3.0)
     inst = build_reduced(scenario, channel)
-    dual = precompute_dual(inst, 1e-4)
+    dual = precompute_dual(inst)
     p_low = compute_p_low(scenario, channel).p_low
     state, report = solve(inst, dual, SolverConfig(), initial_state(inst, p_low))
     assert report.status == "converged"

@@ -6,7 +6,7 @@ from crbeam.linalg import null_space_basis
 from crbeam.pipeline import solve_scenario
 from crbeam.rbal import SolverConfig, initial_state, solve
 from crbeam.reduction import (
-    IllConditionedDual, ReducedInstance, build_reduced, check_degenerate, precompute_dual,
+    DELTA, IllConditionedDual, ReducedInstance, build_reduced, check_degenerate, precompute_dual,
 )
 from crbeam.scenario import Scenario, evaluate_crb_objective, generate_channel
 from crbeam.verification import kkt_residuals
@@ -73,38 +73,38 @@ class TestPrecomputeDual:
     def test_single_user_scalars(self):
         sc = make_scenario(4, 1)
         h = np.array([[1.0], [1.0], [0.0], [0.0]], dtype=complex)
-        dual = precompute_dual(build_reduced(sc, h), delta=1e-4)
-        assert dual.alpha == pytest.approx(2.0 + 1e-4)
-        assert dual.beta == pytest.approx(2.0 + 1e-4)
-        assert dual.kappa == pytest.approx(1.0 / ((2.0 + 1e-4) ** 2 - 1.0), rel=1e-14)
+        dual = precompute_dual(build_reduced(sc, h))
+        assert dual.alpha == pytest.approx(2.0 + DELTA)
+        assert dual.beta == pytest.approx(2.0 + DELTA)
+        assert dual.kappa == pytest.approx(1.0 / ((2.0 + DELTA) ** 2 - 1.0), rel=1e-14)
 
     def test_theta_entries(self):
         sc = Scenario(32, 8, 100.0, np.full(8, 10.0), 1.0)  # rho = 1.1
         h = generate_channel(sc, 3)
-        dual = precompute_dual(build_reduced(sc, h), delta=1e-4)
-        kappa = 1.0 / ((1e-4 + 9.0) * (1e-4 + 2.0) - 1.0)
+        dual = precompute_dual(build_reduced(sc, h))
+        alpha, beta = 9.0 + DELTA, 2.0 + DELTA
+        kappa = 1.0 / (alpha * beta - 1.0)
         assert dual.theta1 == pytest.approx(
-            np.full(8, kappa * (1.0 - 2.0001 * 1.1 - 2.0001)), rel=1e-12
+            np.full(8, kappa * (1.0 - beta * 1.1 - beta)), rel=1e-12
         )
-        assert dual.theta2 == pytest.approx(np.full(8, kappa * (9.0001 - 2.1)), rel=1e-12)
+        assert dual.theta2 == pytest.approx(np.full(8, kappa * (alpha - 2.1)), rel=1e-12)
 
     def test_l_matrix_spd_and_real(self):
         """L is kept only as its Cholesky factor: real, lower-triangular,
         positive diagonal, so F F^T is symmetric positive definite."""
         sc = make_scenario(16, 5)
         h = generate_channel(sc, 4)
-        dual = precompute_dual(build_reduced(sc, h), delta=1e-4)
+        dual = precompute_dual(build_reduced(sc, h))
         ell = dual.l_factor
         assert np.isrealobj(ell)
         assert np.array_equal(ell, np.tril(ell))
         assert np.all(np.diag(ell) > 0)
 
-    def test_delta_validation(self):
+    def test_delta_is_not_an_argument(self):
         sc = make_scenario(8, 2)
         inst = build_reduced(sc, generate_channel(sc, 0))
-        for delta in (0.0, -1e-4, float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="delta must be finite and positive"):
-                precompute_dual(inst, delta=delta)
+        with pytest.raises(TypeError):
+            precompute_dual(inst, 1e-2)
 
     @pytest.mark.parametrize("n_tx, n_users", [(64, 8), (12, 3)])
     def test_l_factor_reproduces_l_matrix(self, n_tx, n_users):
@@ -112,8 +112,8 @@ class TestPrecomputeDual:
         matrix D D^H + delta I, with A its leading K x K block."""
         sc = make_scenario(n_tx, n_users)
         inst = build_reduced(sc, generate_channel(sc, 1))
-        dual = precompute_dual(inst, delta=1e-4)
-        normal = build_dense_system(inst, 1e-4).normal
+        dual = precompute_dual(inst)
+        normal = build_dense_system(inst).normal
         k = n_users
         a, b, c = normal[:k, :k], normal[:k, k:], normal[k:, k:]
         schur = a - b @ np.linalg.solve(c, b.conj().T)
@@ -131,7 +131,7 @@ class TestPrecomputeDual:
 
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(IllConditionedDual, match="delta=0.0001"):
-            precompute_dual(inst, delta=1e-4)
+            precompute_dual(inst)
 
 
 class TestDegeneracy:
@@ -243,7 +243,7 @@ def test_solver_invariant_to_basis_choice(solved_k3):
         n_tx=inst.n_tx,
         n_users=inst.n_users,
     )
-    dual = precompute_dual(rotated, 1e-4)
+    dual = precompute_dual(rotated)
     p_low = compute_p_low(scenario, channel).p_low
     _, report = solve(rotated, dual, SolverConfig(), initial_state(rotated, p_low))
     assert report.status == "converged"

@@ -11,7 +11,7 @@ from crbeam import rbal
 from crbeam.pipeline import solve_scenario
 from crbeam.rbal import prox_z
 from crbeam.recovery import BeamformingSolution
-from crbeam.reduction import build_reduced, precompute_dual
+from crbeam.reduction import DELTA, build_reduced, precompute_dual
 from crbeam.scenario import Scenario, generate_channel
 from crbeam.verification import kkt_residuals
 from conftest import constrained_instance, make_scenario
@@ -30,7 +30,7 @@ class TestDenseSystem:
     def test_block_layout(self):
         sc = make_scenario(8, 2)
         inst = build_reduced(sc, generate_channel(sc, 1))
-        dense = build_dense_system(inst, 1e-4)
+        dense = build_dense_system(inst)
         k = 2
         assert dense.d.shape == (k + 2 * k**2, k**3 + 2 * k**2)
         # SINR row k holds rho_k vec(Q_k)^H on its own block and -vec(Q_k)^H on y
@@ -43,27 +43,26 @@ class TestDenseSystem:
     @pytest.mark.parametrize("n_tx, n_users", [(64, 8), (12, 3)])
     def test_normal_factor_reproduces_normal_matrix(self, n_tx, n_users):
         sc = make_scenario(n_tx, n_users)
-        dense = build_dense_system(build_reduced(sc, generate_channel(sc, 1)), 1e-4)
-        normal = dense.d @ dense.d.conj().T + 1e-4 * np.eye(dense.d.shape[0])
+        dense = build_dense_system(build_reduced(sc, generate_channel(sc, 1)))
+        normal = dense.d @ dense.d.conj().T + DELTA * np.eye(dense.d.shape[0])
         ell = dense.normal_factor
         assert np.array_equal(ell, np.tril(ell))
         err = np.linalg.norm(ell @ ell.conj().T - normal) / np.linalg.norm(normal)
         assert err <= 1e-13
 
     def test_structured_inverse_matches_dense(self):
-        cases = [(1, 1e-4, 1e-10), (2, 1e-4, 1e-8), (3, 1e-4, 1e-8), (6, 1e-4, 1e-8), (2, 1e-2, 1e-10)]
-        for k, delta, bound in cases:
-            assert dual_inverse_error(k, delta) < bound
+        for k, bound in [(1, 1e-10), (2, 1e-8), (3, 1e-8), (6, 1e-8)]:
+            assert dual_inverse_error(k) < bound
 
     def test_perturbed_factor_is_caught(self):
         # negative control: the check reads the Cholesky factor the sweep
         # solves with, so scaling it by 1 + 1e-3 must show (8.1e-3 measured)
         sc = make_scenario(12, 3)
         inst = build_reduced(sc, generate_channel(sc, 11))
-        dual = precompute_dual(inst, 1e-4)
-        assert dense_dual_inverse_check(inst, dual, 1e-4) < 1e-12
+        dual = precompute_dual(inst)
+        assert dense_dual_inverse_check(inst, dual) < 1e-12
         perturbed = replace(dual, l_factor=np.tril(dual.l_factor) * (1.0 + 1e-3))
-        assert dense_dual_inverse_check(inst, perturbed, 1e-4) >= 1e-3
+        assert dense_dual_inverse_check(inst, perturbed) >= 1e-3
 
 
 class TestTrajectoryEquivalence:
@@ -257,7 +256,7 @@ def test_optimality_spot_check():
 
     scenario, channel = constrained_instance(10, 3, seed=6, factor=3.0)
     inst = build_reduced(scenario, channel)
-    dual = precompute_dual(inst, 1e-4)
+    dual = precompute_dual(inst)
     p_low = compute_p_low(scenario, channel).p_low
     state, report = solve(inst, dual, SolverConfig(), initial_state(inst, p_low))
     assert report.status == "converged"
