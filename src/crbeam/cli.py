@@ -32,7 +32,6 @@ class RunConfig:
     p_t_dbm: float = 20.0
     gamma_db: object = 10.0        # scalar or per-user list
     sigma2_dbm: float = 0.0
-    tol: float = SolverConfig.tol_violation
     max_iters: int = SolverConfig.max_iterations
     trials: int = 1
     base_seed: int = 0
@@ -95,9 +94,9 @@ def load_config(path):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
-        cfg.solver = SolverConfig(tol_violation=cfg.tol, max_iterations=cfg.max_iters)
-    except (TypeError, ValueError) as exc:  # e.g. "tol": -1, "tol": "1" or "max_iters": 2.5
-        raise ConfigError(f"invalid solver setting (tol, max_iters): {exc}") from exc
+        cfg.solver = SolverConfig(max_iterations=cfg.max_iters)
+    except ValueError as exc:  # e.g. "max_iters": 2.5
+        raise ConfigError(f"invalid solver setting (max_iters): {exc}") from exc
 
     cfg.scenario = _scenario(cfg, cfg.n_tx, cfg.n_users)
     if cfg.sweep is not None:
@@ -185,12 +184,12 @@ def result_row(result, scenario, trial="", seed=""):
     return row, ISOTROPIC if result.degenerate else report.status
 
 
-def solve_or_report(scenario, channel, solver, where=""):
-    """solve_scenario's result, or None after one `solve failed:` line on stderr."""
+def run_or_report(command, fn, *args, where=""):
+    """fn(*args), or None after one `<command> failed:` line on stderr."""
     try:
-        return solve_scenario(scenario, channel, solver)
-    except Exception as exc:  # a solve that raises is reported, not a config error
-        print(f"solve failed: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
+        return fn(*args)
+    except Exception as exc:  # a run that raises is reported, not a config error
+        print(f"{command} failed: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return None
 
 
@@ -233,7 +232,7 @@ def cmd_solve(args):
     seed = args.seed if args.seed is not None else cfg.base_seed
     scenario = cfg.scenario
     channel = generate_channel(scenario, seed)
-    result = solve_or_report(scenario, channel, cfg.solver)
+    result = run_or_report("solve", solve_scenario, scenario, channel, cfg.solver)
     if result is None:
         return 4
     row, status = result_row(result, scenario, seed=seed)
@@ -263,9 +262,7 @@ def cmd_solve(args):
         with fh:
             json.dump(solution_json(result, row, scenario), fh, indent=1)
         print(f"solution written to {args.out}")
-    if status == "infeasible":
-        return 0 if args.allow_infeasible else 2
-    return 3 if status == "iteration_cap" else 0
+    return 2 if status == "infeasible" else 3 if status == "iteration_cap" else 0
 
 
 def run_trial(cfg, scenario, trial):
@@ -274,7 +271,8 @@ def run_trial(cfg, scenario, trial):
     seed = cfg.base_seed ^ trial
     n_tx, n_users = scenario.n_tx, scenario.n_users
     channel = generate_channel(scenario, seed)
-    result = solve_or_report(scenario, channel, cfg.solver, f" (trial {trial}, {n_tx}x{n_users}, seed {seed})")
+    result = run_or_report("solve", solve_scenario, scenario, channel, cfg.solver,
+                           where=f" (trial {trial}, {n_tx}x{n_users}, seed {seed})")
     if result is None:
         return ResultRow(trial, seed, n_tx, n_users, *[""] * 8), "failed"
     return result_row(result, scenario, trial, seed)
@@ -300,7 +298,8 @@ def cmd_sweep(args):
                           for col in ("crb_objective", "iterations", "setup_seconds", "iter_seconds_total")]
                 aggregates.append(ResultRow(name, "", scenario.n_tx, scenario.n_users, True, "", *values, "", ""))
         print(f"{param}={value}: {len(solved)}/{len(results)} trials solved, "
-              f"{point.count('iteration_cap')} stopped at iteration_cap, {point.count('failed')} failed",
+              f"{point.count('iteration_cap')} stopped at iteration_cap, {point.count('failed')} failed, "
+              f"{point.count('infeasible')} infeasible",
               file=sys.stderr)
     if (fh := _out_file(args.out, newline="", encoding="utf-8")) is None:
         return 1
@@ -315,7 +314,9 @@ def cmd_feasibility(args):
     seed = args.seed if args.seed is not None else cfg.base_seed
     scenario = cfg.scenario
     channel = generate_channel(scenario, seed)
-    report = compute_p_low(scenario, channel)
+    report = run_or_report("feasibility", compute_p_low, scenario, channel)
+    if report is None:
+        return 4
     print(f"p_low: {report.p_low:.9g} mW ({linear_to_dbm(report.p_low):.4f} dBm)")
     print(f"lambdas: {np.array2string(report.lambdas, precision=6)}")
     print(f"budget: {scenario.power_budget:.9g} mW -> {'feasible' if report.feasible else 'infeasible'}"
@@ -333,7 +334,6 @@ def main(argv=None):
     p_solve.add_argument("--seed", type=int, default=None)
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--full-check", action="store_true")
-    p_solve.add_argument("--allow-infeasible", action="store_true")
     p_solve.set_defaults(fn=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="run the configured parameter sweep, write CSV")

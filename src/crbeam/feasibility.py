@@ -43,6 +43,7 @@ class FeasibilityReport:
     residual: float
 
 
+@np.errstate(all="ignore")  # a non-finite residual is never accepted, and the raise reports it
 def p_low_from_gram(gram, thresholds, noise):
     """Newton's method for lambda = T(lambda) on a channel Gram matrix H^H H.
 

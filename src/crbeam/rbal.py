@@ -17,6 +17,7 @@ sweep took only 1.3-1.8x as long at K=8 as at K=2.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,12 +31,10 @@ class NumericalDivergence(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol_violation: float = 1e-9
+    tol_violation: ClassVar[float] = 1e-9  # the stop's violation norm, not a setting
     max_iterations: int = 200000
 
     def __post_init__(self):
-        if not 0 < self.tol_violation < np.inf:  # NaN fails every comparison
-            raise ValueError(f"tol_violation must be finite and positive, got {self.tol_violation!r}")
         value = self.max_iterations
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
             raise ValueError(f"max_iterations must be an integer >= 0, got {value!r}")

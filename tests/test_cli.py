@@ -43,7 +43,6 @@ def write_config(path, **overrides):
         "p_t_dbm": 10.0,
         "gamma_db": 10.0,
         "sigma2_dbm": 0.0,
-        "tol": 1e-9,
         "trials": 2,
         "base_seed": 7,
     }
@@ -128,14 +127,21 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     def test_non_finite_solver_setting_is_config_error(self, tmp_path, capsys, name, value):
-        """json reads NaN and Infinity; neither may reach the solver, where a
-        NaN tol never stops and an infinite one stops at once."""
+        """json reads NaN and Infinity; a config carrying either as tol is refused
+        before anything runs, now as an unknown field."""
         p = write_config(tmp_path / "c.json", max_iters=50, **{name: value})
         assert main(["solve", "--config", str(p), "--seed", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith("config error:") and "must be finite and positive" in line
+        assert captured.err.splitlines() == [f"config error: unknown config fields: ['{name}']"]
+
+    def test_tol_is_unknown_field(self, tmp_path, capsys):
+        """The solver stops at a fixed violation norm of 1e-9, so tol is not a config knob."""
+        p = write_config(tmp_path / "c.json", tol=1e-9)
+        assert main(["solve", "--config", str(p), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["config error: unknown config fields: ['tol']"]
 
     @pytest.mark.parametrize("document", [
         {"n_tx": 8, "n_users": 2, "sweep": {"parameter": "K", "values": "ab"}},
@@ -217,14 +223,21 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert code == 2
         assert "p_low" in out
-        code = main(["solve", "--config", str(cfg), "--seed", "1", "--allow-infeasible"])
-        assert code == 0
 
-    def test_allow_infeasible_writes_document(self, tmp_path, capsys):
+    def test_allow_infeasible_removed(self, tmp_path, capsys):
+        """An infeasible budget always exits 2; the CLI has no flag that makes it 0."""
+        cfg = write_config(tmp_path / "c.json", p_t_dbm=-30.0)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg), "--seed", "1", "--allow-infeasible"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments: --allow-infeasible" in capsys.readouterr().err
+
+    def test_infeasible_writes_document(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", p_t_dbm=-30.0)
         out = tmp_path / "sol.json"
-        code = main(["solve", "--config", str(cfg), "--seed", "1", "--allow-infeasible", "--out", str(out)])
-        assert code == 0
+        code = main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines()[-1] == f"solution written to {out}"
         doc = json.loads(out.read_text())
         assert doc["feasible"] is False
         assert doc["p_low_mw"] > doc["scenario"]["power_budget_mw"]
@@ -429,7 +442,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert sum(line.startswith("solve failed: NotPSD: ") for line in err) == 4
-        assert "Nt=8: 0/2 trials solved, 0 stopped at iteration_cap, 2 failed" in err
+        assert "Nt=8: 0/2 trials solved, 0 stopped at iteration_cap, 2 failed, 0 infeasible" in err
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # no mean/median rows
@@ -468,6 +481,17 @@ class TestSweepCommand:
         with pytest.raises(KeyboardInterrupt):
             main(["sweep", "--config", str(cfg), "--out", str(out)])
         assert out.read_text() == "earlier rows"
+
+    def test_every_trial_infeasible(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sweep.json", p_t_dbm=-30.0, sweep={"parameter": "Nt", "values": [8]})
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "Nt=8: 0/2 trials solved, 0 stopped at iteration_cap, 0 failed, 2 infeasible"
+        ]
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["feasible"] for r in rows] == ["False", "False"]  # no mean/median rows
 
     def test_sweep_requires_sweep_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
@@ -524,6 +548,18 @@ class TestFeasibilityCommand:
     def test_infeasible(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", p_t_dbm=-30.0)
         assert main(["feasibility", "--config", str(cfg), "--seed", "1"]) == 2
+
+    @pytest.mark.filterwarnings("error")  # the overflow on the way prints no warning either
+    def test_probe_that_raises(self, tmp_path, capsys):
+        """At gamma = 1e-308 the fixed point diverges: one `feasibility failed:` line
+        and exit 4, as solve reports it, not a traceback and the config-error code."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_tx": 8, "n_users": 2, "gamma_db": -3080}))
+        assert main(["feasibility", "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("feasibility failed: FixedPointDiverged: no convergence in ")
 
 
 def test_help_lists_subcommands(capsys):

@@ -8,6 +8,7 @@ from crbeam import rbal
 from crbeam.feasibility import compute_p_low
 from crbeam.linalg import monotone_scalar_root
 from crbeam.rbal import (
+    NumericalDivergence,
     SolverConfig,
     constraint_violation,
     default_stepsize,
@@ -348,16 +349,40 @@ def test_config_validation_iteration_counts(name, value):
 @pytest.mark.parametrize("name", ["tol_violation"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_config_validation_non_finite(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+    """The stop's violation norm is fixed, so no value of it, finite or not, is accepted."""
+    with pytest.raises(TypeError, match=name):
         SolverConfig(**{name: value})
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    """solve always stops at a violation norm of 1e-9; the tolerance is not a setting."""
+    with pytest.raises(TypeError):
         SolverConfig(tol_violation=0.0)
+    assert SolverConfig().tol_violation == 1e-9
 
 
 def test_config_has_no_stepsize():
     """solve always runs at default_stepsize; a fixed stepsize is iterate's argument."""
     with pytest.raises(TypeError):
         SolverConfig(tau=0.1)
+
+
+class TestNumericalDivergence:
+    def setup_method(self):
+        scenario, channel = constrained_instance(12, 3, seed=1)
+        self.inst = build_reduced(scenario, channel)
+        self.dual = precompute_dual(self.inst)
+        self.init = initial_state(self.inst, compute_p_low(scenario, channel).p_low)
+
+    def test_non_finite_violation(self):
+        """A NaN in the start is caught by the first violation check, before any sweep."""
+        init = replace(self.init, y=np.full_like(self.init.y, np.nan))
+        with pytest.raises(NumericalDivergence, match=r"^violation became non-finite at sweep 0$"):
+            solve(self.inst, self.dual, SolverConfig(), init)
+
+    def test_non_finite_dual_step(self):
+        """A subnormal stepsize overflows the dual step 1/tau in the first sweep."""
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalDivergence, match=r"^dual step became non-finite at sweep 1$"
+        ):
+            iterate(self.init, self.inst, self.dual, 1e-310)
