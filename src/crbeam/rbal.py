@@ -192,7 +192,8 @@ def iterate(state, instance, dual, tau):
     r, r1, r2 = _residuals(instance, 2.0 * x_new - x, 2.0 * y_new - y, 2.0 * z_new - z)
 
     rhs = r + dual.theta1 * _quad_diag(ht, r1) + dual.theta2 * _quad_diag(ht, r2)
-    dmu = np.linalg.solve(dual.l_factor.T, np.linalg.solve(dual.l_factor, rhs)) / tau
+    with np.errstate(all="ignore"):  # a non-finite step is never taken, and the raise reports it
+        dmu = np.linalg.solve(dual.l_factor.T, np.linalg.solve(dual.l_factor, rhs)) / tau
     if not np.all(np.isfinite(dmu)):
         raise NumericalDivergence(f"dual step became non-finite at sweep {state.iteration + 1}")
     kap = dual.kappa

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,10 @@ from crbeam.pipeline import PipelineResult
 from crbeam.rbal import SolveReport, SolverConfig
 from crbeam.recovery import BeamformingSolution, NotPSD, extract_rank_one
 from crbeam.reduction import build_reduced
+from conftest import run_python
 
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_CONFIG = ROOT / "scripts" / "configs" / "default.json"
 KKT_ROWS = ["kkt_stationarity", "kkt_theta_psd_margin", "kkt_complementarity", "kkt_mu_complementarity",
             "kkt_mu_min", "kkt_primal_sinr", "kkt_primal_power"]
 
@@ -32,6 +36,14 @@ def solve_raises(monkeypatch, fail_calls=None):
         return real(*args)
 
     monkeypatch.setattr(crbeam.cli, "solve_scenario", fake)
+
+
+def strict_json(path):
+    """The JSON document at `path`, refusing the non-standard Infinity and NaN constants."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 def write_config(path, **overrides):
@@ -52,26 +64,30 @@ def write_config(path, **overrides):
 
 
 class TestConfig:
-    def test_unknown_field(self, tmp_path):
-        p = write_config(tmp_path / "c.json", bogus=1)
-        with pytest.raises(ConfigError, match="bogus"):
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("solve", {"bogus": 1}, "unknown config fields: ['bogus']"),
+        ("solve", {"delta": 1e-4}, "unknown config fields: ['delta']"),
+        ("solve", {"tau": -1}, "unknown config fields: ['tau']"),
+        ("solve", {"tol": 1e-9}, "unknown config fields: ['tol']"),
+        ("solve", {"tol": -1}, "unknown config fields: ['tol']"),
+        ("solve", {"tol": float("nan")}, "unknown config fields: ['tol']"),
+        ("solve", {"tol": float("inf")}, "unknown config fields: ['tol']"),
+        ("sweep", {"sweep": {"parameter": "K", "values": [1, 2], "extra": 1}}, "unknown sweep fields: ['extra']"),
+    ], ids=["bogus", "delta", "tau", "tol-1e-9", "tol--1", "tol-NaN", "tol-Infinity", "sweep-extra"])
+    def test_unknown_field_is_config_error(self, tmp_path, capsys, command, overrides, message):
+        """The dual regularization delta, the stepsize tau and the 1e-9 stop
+        tolerance are fixed, not config knobs, and a sweep holds only its
+        parameter and values: a config naming any other field, at any value
+        (json reads NaN and Infinity), is refused before anything runs."""
+        p = write_config(tmp_path / "c.json", **overrides)
+        with pytest.raises(ConfigError) as exc:
             load_config(p)
-
-    def test_delta_is_unknown_field(self, tmp_path, capsys):
-        """The dual regularization is fixed in the pipeline, not a config knob."""
-        p = write_config(tmp_path / "c.json", delta=1e-4)
-        assert main(["solve", "--config", str(p), "--seed", "1"]) == 1
+        assert str(exc.value) == message
+        args = ["--seed", "1"] if command == "solve" else ["--out", str(tmp_path / "rows.csv")]
+        assert main([command, "--config", str(p), *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["config error: unknown config fields: ['delta']"]
-
-    def test_tau_is_unknown_field(self, tmp_path, capsys):
-        """The solver always runs at its default stepsize, so tau is not a config knob."""
-        p = write_config(tmp_path / "c.json", tau=-1)
-        assert main(["solve", "--config", str(p), "--seed", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == ["config error: unknown config fields: ['tau']"]
+        assert captured.err.splitlines() == [f"config error: {message}"]
 
     def test_solver_defaults_come_from_solver_config(self, tmp_path):
         p = tmp_path / "c.json"
@@ -102,9 +118,6 @@ class TestConfig:
         p = write_config(tmp_path / "c.json", sweep={"parameter": "K", "values": [4, 16]})
         with pytest.raises(ConfigError, match="n_tx > n_users"):
             load_config(p)
-        p = write_config(tmp_path / "c.json", sweep={"parameter": "K", "values": [1, 2], "extra": 1})
-        with pytest.raises(ConfigError, match=r"^unknown sweep fields: \['extra'\]$"):
-            load_config(p)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.json", bogus=1)
@@ -112,9 +125,9 @@ class TestConfig:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, value", [
-        ("n_tx", "64"), ("n_users", 0), ("n_tx", 8.5), ("tol", -1), ("trials", True),
+        ("n_tx", "64"), ("n_users", 0), ("n_tx", 8.5), ("sigma2_dbm", "5"), ("trials", True),
         ("p_t_dbm", None), ("gamma_db", "abc"), ("gamma_db", [10, "x"]), ("gamma_db", {"a": 1}),
-        ("sigma2_dbm", "5"), ("p_t_dbm", 1e400),
+        ("p_t_dbm", 1e400),
         ("max_iters", -1), ("max_iters", 2.5), ("max_iters", True),
     ])
     def test_malformed_field_is_config_error(self, tmp_path, capsys, name, value):
@@ -123,25 +136,6 @@ class TestConfig:
             load_config(p)
         assert main(["solve", "--config", str(p)]) == 1
         assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name", ["tol"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
-    def test_non_finite_solver_setting_is_config_error(self, tmp_path, capsys, name, value):
-        """json reads NaN and Infinity; a config carrying either as tol is refused
-        before anything runs, now as an unknown field."""
-        p = write_config(tmp_path / "c.json", max_iters=50, **{name: value})
-        assert main(["solve", "--config", str(p), "--seed", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [f"config error: unknown config fields: ['{name}']"]
-
-    def test_tol_is_unknown_field(self, tmp_path, capsys):
-        """The solver stops at a fixed violation norm of 1e-9, so tol is not a config knob."""
-        p = write_config(tmp_path / "c.json", tol=1e-9)
-        assert main(["solve", "--config", str(p), "--seed", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == ["config error: unknown config fields: ['tol']"]
 
     @pytest.mark.parametrize("document", [
         {"n_tx": 8, "n_users": 2, "sweep": {"parameter": "K", "values": "ab"}},
@@ -320,14 +314,25 @@ class TestSolveCommand:
         assert out.splitlines()[0].startswith("status: iteration_cap")
         assert "objective tr(R^-1): inf" in out
         assert "  objective_gap: n/a, " in out
-
-        # the document is strict JSON: no Infinity/NaN constants
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        doc = json.loads(doc_path.read_text(), parse_constant=reject)
+        doc = strict_json(doc_path)
         assert doc["schema_version"] == 2
         assert doc["objective"] is None
+
+    def test_spent_budget_capped_run(self, tmp_path, capsys):
+        """A real capped run whose blocks spend all of P_T: its null-space level
+        is ~1e-13 P_T / (Nt - K), so R is singular by the one rule (lambda_min
+        <= 1e-12 lambda_max). Exit 3, not 4, and the objective is inf, null in
+        strict JSON."""
+        cfg = tmp_path / "capped.json"
+        cfg.write_text(json.dumps(
+            {"n_tx": 12, "n_users": 3, "p_t_dbm": -17.9642, "sigma2_dbm": -30, "max_iters": 60000}
+        ))
+        doc_path = tmp_path / "sol.json"
+        assert main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(doc_path)]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("status: iteration_cap ")
+        assert "objective tr(R^-1): inf" in out
+        assert strict_json(doc_path)["objective"] is None
 
     def test_spent_budget_start_exits_cap(self, tmp_path, capsys):
         """8x2 at 7 dBm is under 2 p_low, so the start spends all of P_T: with no
@@ -338,7 +343,23 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert code == 3, captured.err
         assert "objective tr(R^-1): inf" in captured.out
-        assert json.loads(doc_path.read_text())["objective"] is None
+        assert strict_json(doc_path)["objective"] is None
+
+    def test_wide_document_needs_no_dense_work(self, tmp_path, capsys):
+        """Schema 2 writes U, the K x K block M and theta, not a dense sensing
+        factor: at 1024x8 the document stays under 2 MB, and its power is
+        ||W||_F^2 + tr M + Nt theta = P_T with no Nt x Nt work."""
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"n_tx": 1024, "n_users": 8}))
+        doc_path = tmp_path / "sol.json"
+        assert main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(doc_path)]) == 0
+        assert doc_path.stat().st_size < 2e6
+        doc = strict_json(doc_path)
+        assert doc["schema_version"] == 2
+        w, m = np.array(doc["beamformers"]), np.array(doc["sensing_block"])
+        power = np.sum(w**2) + np.trace(m[..., 0]) + doc["scenario"]["n_tx"] * doc["null_level"]
+        budget = doc["scenario"]["power_budget_mw"]
+        assert abs(power - budget) <= 1e-9 * budget
 
     def test_unwritable_out(self, tmp_path, capsys, monkeypatch):
         """An unwritable --out is found before the solve, which never runs."""
@@ -395,6 +416,11 @@ class TestSweepCommand:
             trials=2,
             sweep={"parameter": "Nt", "values": [8, 12]},
         )
+
+    def test_readme_lists_the_columns(self):
+        readme = (ROOT / "README.md").read_text().split("Sweep CSV columns are exactly")[1]
+        fenced = readme.split("```")[1]
+        assert "".join(fenced.split()).split(",") == RESULT_COLUMNS
 
     def test_csv_schema_and_aggregates(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
@@ -510,18 +536,18 @@ class Untouchable:
 
 def test_no_output_reads_the_dense_factor(tmp_path, capsys, monkeypatch):
     """solve --full-check on both paths and a sweep print and write the same
-    with the dense factor stubbed: no output depends on it."""
+    with the dense factor stubbed: no output depends on it. The iterative
+    path at ~3x p_low certifies an extract_rank_one answer."""
     iterative = tmp_path / "iterative.json"
     iterative.write_text(json.dumps({"n_tx": 12, "n_users": 3, "p_t_dbm": 12.0358}))
     sweep = write_config(tmp_path / "sweep.json", n_tx=64, n_users=4, p_t_dbm=20.0, trials=1,
                          sweep={"parameter": "K", "values": [2, 4]})
-    default = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "default.json"
     sol, csv_out = tmp_path / "sol.json", tmp_path / "rows.csv"
     timing = {RESULT_COLUMNS.index("setup_seconds"), RESULT_COLUMNS.index("iter_seconds_total")}
 
     def outputs():
         runs = []
-        for cfg in (default, iterative):
+        for cfg in (DEFAULT_CONFIG, iterative):
             assert main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(sol), "--full-check"]) == 0
             runs.append((capsys.readouterr().out, sol.read_text()))
         assert main(["sweep", "--config", str(sweep), "--out", str(csv_out)]) == 0
@@ -532,6 +558,7 @@ def test_no_output_reads_the_dense_factor(tmp_path, capsys, monkeypatch):
     plain = outputs()
     (_, (iterative_out, _)), _, _ = plain
     assert iterative_out.startswith("status: converged   iterations: 3448\n")
+    assert float(re.search(r"kkt_stationarity: (\S+)", iterative_out).group(1)) < 1e-6
     stubbed = []
     monkeypatch.setattr(crbeam.recovery, "sensing_factor", lambda cov: stubbed.append(1) or Untouchable())
     assert outputs() == plain
@@ -560,6 +587,28 @@ class TestFeasibilityCommand:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("feasibility failed: FixedPointDiverged: no convergence in ")
+
+
+@pytest.mark.parametrize("command, config, code, quiet", [
+    ("solve", None, 0, "stderr"),
+    ("feasibility", None, 0, "stderr"),
+    ("solve", {"n_tx": 8, "n_users": 2, "tau": 0.1}, 1, "stdout"),
+    ("solve", {"n_tx": 8, "n_users": 2, "p_t_dbm": -30}, 2, "stderr"),
+    ("solve", {"n_tx": 8, "n_users": 2, "p_t_dbm": 7, "max_iters": 0}, 3, "stderr"),
+    ("feasibility", {"n_tx": 8, "n_users": 2, "gamma_db": -3080}, 4, "stdout"),
+], ids=["solve-default", "feasibility-default", "config-error", "infeasible", "iteration-cap", "probe-raises"])
+def test_module_entry_point(tmp_path, command, config, code, quiet):
+    """`python -m crbeam.cli` exits with main's code and writes to one stream
+    only; the tests above check what it writes. None is the shipped default config."""
+    if config is None:
+        path = DEFAULT_CONFIG
+    else:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+    args = ["--seed", "1", "--out", str(tmp_path / "sol.json")] if command == "solve" else []
+    run = run_python("-m", "crbeam.cli", command, "--config", str(path), *args)
+    assert run.returncode == code, run.stderr
+    assert getattr(run, quiet) == ""
 
 
 def test_help_lists_subcommands(capsys):

@@ -3,12 +3,8 @@ solves that take both the closed-form and the iterative path.  And the KKT
 certificate binds no name from the solver it checks."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import crbeam
+from conftest import run_python
 
 CHILD = """
 import json, sys
@@ -46,12 +42,8 @@ print(json.dumps(sorted(
 
 def run_child(code):
     """json.loads of what `code` prints in a fresh interpreter that imports this crbeam."""
-    src = str(Path(crbeam.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True, timeout=300,
-    )
+    out = run_python("-c", code)
+    out.check_returncode()
     return json.loads(out.stdout)
 
 

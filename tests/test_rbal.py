@@ -380,9 +380,8 @@ class TestNumericalDivergence:
         with pytest.raises(NumericalDivergence, match=r"^violation became non-finite at sweep 0$"):
             solve(self.inst, self.dual, SolverConfig(), init)
 
+    @pytest.mark.filterwarnings("error")  # the overflow on the way prints no warning either
     def test_non_finite_dual_step(self):
         """A subnormal stepsize overflows the dual step 1/tau in the first sweep."""
-        with np.errstate(over="ignore"), pytest.raises(
-            NumericalDivergence, match=r"^dual step became non-finite at sweep 1$"
-        ):
+        with pytest.raises(NumericalDivergence, match=r"^dual step became non-finite at sweep 1$"):
             iterate(self.init, self.inst, self.dual, 1e-310)
