@@ -1,8 +1,10 @@
-"""The package runs on numpy alone: no scipy module is loaded, even after
-solves that take both the closed-form and the iterative path.  And the KKT
-certificate binds no name from the solver it checks."""
+"""The package and the test oracles run on numpy alone: no scipy module is
+loaded, even after solves that take both the closed-form and the iterative
+path and a run of each oracle check.  And the KKT certificate binds no name
+from the solver it checks."""
 
 import json
+from pathlib import Path
 
 from conftest import run_python
 
@@ -22,6 +24,12 @@ channel = generate_channel(probe, 7)
 scenario = Scenario(8, 2, 3.0 * compute_p_low(probe, channel).p_low, np.full(2, 10.0), 1.0)
 solved = solve_scenario(scenario, channel)
 kkt = kkt_residuals(solved.solution, scenario, channel)
+sys.path.insert(0, sys.argv[1])
+import oracles
+oracles.dual_inverse_error(2)
+oracles.trajectory_gap(2, 10)
+oracles.oracle_agreement(2)
+oracles.degenerate_witness_residual()
 print(json.dumps({
     "isotropic": isotropic.degenerate,
     "status": solved.solve_report.status,
@@ -40,15 +48,15 @@ print(json.dumps(sorted(
 """
 
 
-def run_child(code):
-    """json.loads of what `code` prints in a fresh interpreter that imports this crbeam."""
-    out = run_python("-c", code)
+def run_child(code, *args):
+    """json.loads of what `code` prints, given `args`, in a fresh interpreter that imports this crbeam."""
+    out = run_python("-c", code, *args)
     out.check_returncode()
     return json.loads(out.stdout)
 
 
 def test_solves_load_no_scipy():
-    report = run_child(CHILD)
+    report = run_child(CHILD, str(Path(__file__).resolve().parent))
     assert report["isotropic"] is True
     assert report["status"] == "converged"
     assert report["stationarity"] < 1e-6

@@ -338,33 +338,23 @@ class TestSolve:
         assert objective_value(replace(state, z=state.z * (1.0 + 1e-12)), inst) == np.inf
 
 
-@pytest.mark.parametrize("name", ["max_iterations"])
 @pytest.mark.parametrize("value", [-1, 2.5, True, "3", None])
-def test_config_validation_iteration_counts(name, value):
-    with pytest.raises(ValueError, match=name):
-        SolverConfig(**{name: value})
-    assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
+def test_config_validation_iteration_counts(value):
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolverConfig(max_iterations=value)
+    assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
 
 
-@pytest.mark.parametrize("name", ["tol_violation"])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_config_validation_non_finite(name, value):
-    """The stop's violation norm is fixed, so no value of it, finite or not, is accepted."""
+@pytest.mark.parametrize("name, value", [
+    ("tol_violation", np.nan), ("tol_violation", np.inf), ("tol_violation", 0.0), ("tau", 0.1),
+])
+def test_config_has_no_tolerance_or_stepsize(name, value):
+    """solve always stops at a violation norm of 1e-9 and runs at
+    default_stepsize (a fixed stepsize is iterate's argument): neither is a
+    setting, so no value of either, finite or not, is accepted."""
     with pytest.raises(TypeError, match=name):
         SolverConfig(**{name: value})
-
-
-def test_config_validation():
-    """solve always stops at a violation norm of 1e-9; the tolerance is not a setting."""
-    with pytest.raises(TypeError):
-        SolverConfig(tol_violation=0.0)
     assert SolverConfig().tol_violation == 1e-9
-
-
-def test_config_has_no_stepsize():
-    """solve always runs at default_stepsize; a fixed stepsize is iterate's argument."""
-    with pytest.raises(TypeError):
-        SolverConfig(tau=0.1)
 
 
 class TestNumericalDivergence:
