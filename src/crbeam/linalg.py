@@ -6,6 +6,8 @@ positive cubic root behind prox_y and prox_z (Cardano or trigonometric by
 branch, then one Newton polish), and a bisection root for monotone functions.
 """
 
+import math
+
 import numpy as np
 
 RANK_TOL = 1e-10
@@ -32,7 +34,6 @@ def compact_svd(m):
     Returns (left_basis, singular_values, right_vh) with
     m = left_basis @ diag(s) @ right_vh.  Raises RankDeficientChannel by require_full_rank.
     """
-    m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         raise ValueError("expected a tall (rows >= cols) matrix")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -46,7 +47,6 @@ def null_space_basis(m):
     The returned Nt x (Nt - K) matrix U satisfies m^H @ U = 0.  Raises
     RankDeficientChannel by require_full_rank.
     """
-    m = np.asarray(m)
     n_rows, n_cols = m.shape
     if n_rows <= n_cols:
         raise ValueError("null space of m^H is trivial unless rows > cols")
@@ -67,42 +67,42 @@ def trace_inverse(eigs, theta=0.0, null_dim=0):
 
 
 def positive_cubic_root(sigma, tau):
-    """Unique positive root of x^3 - sigma*x^2 - tau = 0 for tau > 0.
+    """Unique positive root of x^3 - sigma*x^2 - tau = 0 for one tau > 0.
 
-    Works elementwise on arrays, in closed form plus one Newton polish; no
-    iteration.  The root of (c sigma, c^3 tau) is c times the root of
-    (sigma, tau), so an exact power-of-two c first brings
-    max(|sigma|, tau^(1/3)) into [1/2, 1), away from overflow and underflow.
-    Each branch is free of cancellation:
+    Closed form plus one Newton polish; NaN for a non-finite sigma or a NaN
+    tau.  The root of (c sigma, c^3 tau) is c times the root of (sigma, tau),
+    so an exact power-of-two c first brings max(|sigma|, tau^(1/3)) into
+    [1/2, 1).  Each input evaluates only its own cancellation-free branch:
 
     - sigma >= 0: Cardano in x - sigma/3, x = sigma/3 + A + sigma^2 / (9A)
       with A = cbrt(sigma^3/27 + tau/2 + sqrt(tau (sigma^3/27 + tau/4)));
-    - sigma < 0: u = 1/x solves u^3 + (sigma/tau) u - 1/tau = 0.  When its
-      discriminant D = 1/(4 tau^2) - |sigma|^3/(27 tau^3) is >= 0, Cardano
-      gives u = A + |sigma|/(3 tau A) with A = cbrt(1/(2 tau) + sqrt D);
-      otherwise u is the largest of three real roots,
-      2 sqrt(|sigma|/(3 tau)) cos(arccos(min(1.5/|sigma| sqrt(3 tau/|sigma|), 1))/3).
+    - 27 tau >= 4 |sigma|^3: u = 1/x is the one real root of u^3 + (sigma/tau) u - 1/tau,
+      u = A + |sigma|/(3 tau A) with A = cbrt(1/(2 tau) + sqrt((tau/4 - |sigma|^3/27) / tau^3));
+    - otherwise, unscaled as the scaled tau may underflow, x = sqrt(tau / |sigma|) / v
+      with v = 2/sqrt(3) cos(arccos(1.5 sqrt(3) eps) / 3) the largest root of
+      v^3 - v = eps = sqrt(tau / |sigma|^3), which the Newton step polishes instead.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
+    if tau <= 0.0:
         raise ValueError("tau must be strictly positive")
-    _, e = np.frexp(np.maximum(np.abs(sigma), np.cbrt(tau)))
-    s = np.ldexp(sigma, -e)
-    t = np.ldexp(tau, -3 * e)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = np.abs(s) ** 3 / 27.0
-        a = np.cbrt(q + 0.5 * t + np.sqrt(t) * np.sqrt(q + 0.25 * t))
-        x_nonneg = s / 3.0 + a + s * s / (9.0 * a)
-        disc = 0.25 / (t * t) - q / t**3
-        a = np.cbrt(0.5 / t + np.sqrt(disc))
-        x_one = 1.0 / (a - s / (3.0 * t * a))
-        r = np.sqrt(-3.0 * t / s)  # x = 1/u = r / (2 cos(...)), with no 1/tau
-        x_three = r / (2.0 * np.cos(np.arccos(np.minimum(-1.5 * r / s, 1.0)) / 3.0))
-        x = np.where(s >= 0.0, x_nonneg, np.where(disc >= 0.0, x_one, x_three))
+    if not math.isfinite(sigma):
+        return math.nan
+    _, e = math.frexp(max(abs(sigma), float(np.cbrt(tau))))
+    s = math.ldexp(sigma, -e)
+    t = math.ldexp(tau, -3 * e)
+    q = abs(s) ** 3 / 27.0
+    if s >= 0.0:
+        a = float(np.cbrt(q + 0.5 * t + math.sqrt(t) * math.sqrt(q + 0.25 * t)))
+        x = s / 3.0 + a + s * s / (9.0 * a)
+    elif 0.25 * t >= q:
+        a = float(np.cbrt(0.5 / t + math.sqrt((0.25 * t - q) / t**3)))
+        x = 1.0 / (a - s / (3.0 * t * a))
+    else:
+        eps = math.sqrt(tau / -sigma / sigma / sigma)
+        v = 2.0 / math.sqrt(3.0) * math.cos(math.acos(min(1.5 * math.sqrt(3.0) * eps, 1.0)) / 3.0)
+        v = v - (v * v * v - v - eps) / (3.0 * v * v - 1.0)
+        return math.sqrt(tau) / math.sqrt(-sigma) / v
     x = x - (x * x * (x - s) - t) / (x * (3.0 * x - 2.0 * s))
-    x = np.ldexp(x, e)
-    return float(x) if x.ndim == 0 else x
+    return math.ldexp(x, e)
 
 
 def monotone_scalar_root(f, lo, hi):

@@ -12,8 +12,8 @@ primal block (all closed-form, K+2 eigendecompositions of K x K matrices),
 then a structured dual update whose only linear solve is against the cached
 K x K Cholesky factor.  Nothing here touches an Nt-sized object, so a sweep
 costs the same at any antenna count.  At K <= 8 that cost is Python overhead,
-not flops: in four untraced perfbench runs of the constrained workload a
-sweep took only 1.3-1.8x as long at K=8 as at K=2.
+not flops: in two untraced perfbench runs of the constrained workload a
+sweep took 1.8x as long at K=8 as at K=2.
 """
 
 from dataclasses import dataclass
@@ -97,7 +97,7 @@ def prox_x(x_tilde, power_budget):
 
 def prox_y(y_tilde, tau):
     """Proximal map of tr(Y^-1): each eigenvalue solves x^3 - s x^2 - tau = 0."""
-    return _spectral_step(y_tilde, lambda w: positive_cubic_root(w, tau))
+    return _spectral_step(y_tilde, lambda w: np.array([positive_cubic_root(s, tau) for s in w.tolist()]))
 
 
 def _z_shrink_level(eigs, tau, budget, null_dim):

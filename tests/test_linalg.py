@@ -91,7 +91,7 @@ class TestPositiveCubicRoot:
         rng = np.random.default_rng(7)
         sigma = rng.uniform(-10.0, 10.0, 1000)
         tau = 10.0 ** rng.uniform(-6.0, 3.0, 1000)
-        x = positive_cubic_root(sigma, tau)
+        x = np.array([positive_cubic_root(s, t) for s, t in zip(sigma, tau)])
         residual = np.abs(x * x * (x - sigma) - tau)
         bound = 1e-12 * np.maximum(1.0, np.maximum(np.abs(sigma) ** 3, tau))
         assert np.all(residual <= bound)
@@ -111,9 +111,11 @@ class TestPositiveCubicRoot:
         # f(x) = x^2 (x - sigma) - tau, evaluated in exact rationals, changes
         # sign within 1e-14 relative of the returned root
         rng = np.random.default_rng(11)
-        sigmas = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-8.0, 8.0, 300)
-        taus = 10.0 ** rng.uniform(-15.0, 15.0, 300)
-        cases = [(0.0, 1e-300), (0.0, 1e-30), (-5.0, 1e-40), *zip(sigmas, taus)]
+        sigmas = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-100.0, 100.0, 300)
+        taus = 10.0 ** rng.uniform(-200.0, 200.0, 300)
+        # tau << |sigma|^3 with sigma < 0, where the scaled tau underflows
+        underflow = [(-8.428046468967258e77, 2.2128998574804284e-123), (-1e100, 1e-10), (-3e40, 1e-200)]
+        cases = [(0.0, 1e-300), (0.0, 1e-30), (-5.0, 1e-40), *underflow, *zip(sigmas, taus)]
         rel = Fraction(1, 10**14)
         missed = []
         for sigma, tau in cases:
@@ -122,6 +124,31 @@ class TestPositiveCubicRoot:
             if not lo < 0 < hi:
                 missed.append((sigma, tau, float(x)))
         assert not missed
+
+    @pytest.mark.parametrize("tau", [0.0, -0.0, -1.0, -np.inf])
+    def test_nonpositive_tau_raises(self, tau):
+        with pytest.raises(ValueError, match="tau must be strictly positive"):
+            positive_cubic_root(1.0, tau)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "sigma, tau", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (1.0, np.nan), (-1.0, np.nan)]
+    )
+    def test_non_finite_input_is_nan(self, sigma, tau):
+        assert np.isnan(positive_cubic_root(sigma, tau))
+
+    def test_largest_sigma(self):
+        assert positive_cubic_root(1.7e308, 1.0) == 1.7e308
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(deadline=None, max_examples=500)
+    @given(
+        sigma=st.floats(allow_nan=False, allow_infinity=False),
+        tau=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_finite_input_never_raises(self, sigma, tau):
+        x = positive_cubic_root(sigma, tau)
+        assert 0.0 < x < np.inf
 
     @settings(deadline=None, max_examples=200)
     @given(
