@@ -195,7 +195,7 @@ def run_or_report(command, fn, *args, where=""):
 
 def solution_json(result, row, scenario):
     doc = {
-        "schema_version": 2,
+        "schema_version": 3,
         "scenario": {
             "n_tx": scenario.n_tx,
             "n_users": scenario.n_users,

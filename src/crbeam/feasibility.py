@@ -35,12 +35,19 @@ class FixedPointDiverged(Exception):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    p_low: float
-    lambdas: np.ndarray
+    """The budget's verdict and, when the probe ran, its fixed point.
+
+    compute_p_low fills every field.  When the isotropic screen's witness
+    certifies the budget, the pipeline runs no probe: p_low, lambdas and
+    residual are None and iterations is 0.
+    """
+
+    p_low: float | None
+    lambdas: np.ndarray | None
     feasible: bool
     borderline: bool
     iterations: int
-    residual: float
+    residual: float | None
 
 
 @np.errstate(all="ignore")  # a non-finite residual is never accepted, and the raise reports it

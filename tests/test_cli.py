@@ -172,7 +172,7 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(cfg), "--seed", "3", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["feasible"] is True
         assert doc["scenario"]["power_budget_mw"] == pytest.approx(10.0)
         # complex entries are [re, im] pairs
@@ -227,6 +227,27 @@ class TestSolveCommand:
         assert not {
             "objective", "sinr", "beamformers", "range_basis", "sensing_block", "null_level", "iterations",
         } & set(doc)
+
+    def test_isotropic_document_has_no_p_low(self, tmp_path, capsys):
+        """At the paper defaults the screen's witness proves the budget
+        feasible and no p_low probe runs, so `p_low_mw` is null."""
+        doc_path = tmp_path / "sol.json"
+        assert main(["solve", "--config", str(DEFAULT_CONFIG), "--seed", "1", "--out", str(doc_path)]) == 0
+        doc = strict_json(doc_path)
+        assert doc["schema_version"] == 3
+        assert doc["feasible"] is True and doc["degenerate"] is True
+        assert doc["p_low_mw"] is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_threshold_solves_in_closed_form(self, tmp_path, capsys):
+        """gamma = 1e-308 makes the p_low probe diverge (`feasibility` exits 4),
+        but the budget is isotropic: `solve` returns the witness, exit 0."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_tx": 8, "n_users": 2, "gamma_db": -3080}))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[0] == "status: closed-form (isotropic)   iterations: 0"
 
     def test_degenerate_single_user(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", n_tx=4, n_users=1, p_t_dbm=20.0)
@@ -304,7 +325,7 @@ class TestSolveCommand:
         assert "objective tr(R^-1): inf" in out
         assert "  objective_gap: n/a, " in out
         doc = strict_json(doc_path)
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["objective"] is None
 
     def test_spent_budget_capped_run(self, tmp_path, capsys):
@@ -335,16 +356,16 @@ class TestSolveCommand:
         assert strict_json(doc_path)["objective"] is None
 
     def test_wide_document_needs_no_dense_work(self, tmp_path, capsys):
-        """Schema 2 writes U, the K x K block M and theta, not a dense sensing
-        factor: at 1024x8 the document stays under 2 MB, and its power is
-        ||W||_F^2 + tr M + Nt theta = P_T with no Nt x Nt work."""
+        """Since schema 2 the document holds U, the K x K block M and theta, not
+        a dense sensing factor: at 1024x8 it stays under 2 MB, and its power
+        is ||W||_F^2 + tr M + Nt theta = P_T with no Nt x Nt work."""
         cfg = tmp_path / "wide.json"
         cfg.write_text(json.dumps({"n_tx": 1024, "n_users": 8}))
         doc_path = tmp_path / "sol.json"
         assert main(["solve", "--config", str(cfg), "--seed", "1", "--out", str(doc_path)]) == 0
         assert doc_path.stat().st_size < 2e6
         doc = strict_json(doc_path)
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         w, m = np.array(doc["beamformers"]), np.array(doc["sensing_block"])
         power = np.sum(w**2) + np.trace(m[..., 0]) + doc["scenario"]["n_tx"] * doc["null_level"]
         budget = doc["scenario"]["power_budget_mw"]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from crbeam import feasibility
-from crbeam.feasibility import FixedPointDiverged, compute_p_low, p_low_from_gram
+from crbeam import feasibility, pipeline
+from crbeam.feasibility import FeasibilityReport, FixedPointDiverged, compute_p_low, p_low_from_gram
 from crbeam.linalg import RankDeficientChannel
 from crbeam.pipeline import solve_scenario
+from crbeam.rbal import SolverConfig
+from crbeam.recovery import range_solution
+from crbeam.reduction import build_reduced, check_degenerate
 from crbeam.scenario import Scenario, evaluate_sinr, generate_channel
 from conftest import make_scenario
 
@@ -200,17 +203,63 @@ class TestNewton:
 
 
 class TestPipeline:
-    """solve_scenario reads p_low off the K x K reduced channel U^H H."""
+    """solve_scenario reads p_low off the K x K reduced channel U^H H, unless
+    the isotropic screen's witness has already proved the budget feasible."""
 
-    @pytest.mark.parametrize("n_tx, n_users, seed", TestNewton.SHAPES)
-    def test_reduced_channel_gives_the_same_p_low(self, n_tx, n_users, seed):
-        # a 1 uW budget is infeasible, so the pipeline stops after feasibility
+    @pytest.mark.parametrize(
+        "n_tx, n_users, seed, p_low_factor",
+        [(*shape, None) for shape in TestNewton.SHAPES] + [(64, 8, 1, 3.0)],
+        ids=["-".join(map(str, shape)) for shape in TestNewton.SHAPES] + ["64-8-1-3x_p_low"],
+    )
+    def test_reduced_channel_gives_the_same_p_low(self, n_tx, n_users, seed, p_low_factor):
+        # a 1 uW budget is infeasible, so the pipeline stops after feasibility;
+        # 3x p_low is feasible and not isotropic, so R-BAL starts from the report
         sc = make_scenario(n_tx, n_users, power=1e-3)
         h = generate_channel(sc, seed)
+        if p_low_factor is not None:
+            sc = make_scenario(n_tx, n_users, power=p_low_factor * compute_p_low(sc, h).p_low)
+        result = solve_scenario(sc, h, SolverConfig(max_iterations=0))  # the report precedes any sweep
+        direct = compute_p_low(sc, h)
+        assert result.feasibility.feasible is (p_low_factor is not None)
+        assert not result.degenerate
+        assert abs(result.feasibility.p_low - direct.p_low) <= 1e-14 * direct.p_low
+        np.testing.assert_allclose(result.feasibility.lambdas, direct.lambdas, rtol=1e-14, atol=0)
+        assert result.feasibility.iterations == direct.iterations
+
+    def test_isotropic_answer_runs_no_probe(self, monkeypatch):
+        """At the paper defaults (64x8, 20 dBm, seed 1) the screen's witness is
+        the certificate: no p_low probe runs, and the answer is the witness's
+        closed form bit for bit."""
+        def no_probe(*args):
+            raise AssertionError("the p_low probe ran")
+
+        monkeypatch.setattr(pipeline, "compute_p_low", no_probe)
+        sc = make_scenario(64, 8, power=100.0)
+        h = generate_channel(sc, 1)
         result = solve_scenario(sc, h)
-        assert not result.feasibility.feasible
-        direct = compute_p_low(sc, h).p_low
-        assert abs(result.feasibility.p_low - direct) <= 1e-14 * direct
+        assert result.degenerate
+        assert result.feasibility == FeasibilityReport(None, None, True, False, 0, None)
+        instance = build_reduced(sc, h)
+        verdict = check_degenerate(instance)
+        c = sc.power_budget / sc.n_tx
+        witness = range_solution(instance, verdict.v, c * np.eye(sc.n_users), c)
+        assert np.array_equal(result.solution.v, witness.v)
+        assert result.solution.objective == witness.objective == result.reduced_objective
+        assert np.array_equal(result.solution.sensing_factor, witness.sensing_factor)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_threshold_is_isotropic(self):
+        """gamma = 1e-308 (-3080 dB) overflows rho = 1 + 1/gamma in the p_low
+        probe, which raises FixedPointDiverged; the budget is isotropic, so
+        the witness answers without the probe and meets both targets."""
+        sc = make_scenario(8, 2, power=100.0, gamma=1e-308)
+        h = generate_channel(sc, 1)
+        with pytest.raises(FixedPointDiverged):
+            compute_p_low(sc, h)
+        result = solve_scenario(sc, h)
+        assert result.degenerate and result.feasibility.p_low is None
+        np.testing.assert_allclose(result.solution.sinr, 1e-308, rtol=1e-12, atol=0)
+        assert result.solution.objective == pytest.approx(8**2 / 100.0, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(6, 2), (12, 2), (8, 3)], ids=["6x2", "12x2", "8x3"])
     def test_channel_of_another_shape_raises(self, shape):
